@@ -64,14 +64,19 @@ bench-json:
 	$(GO) run ./cmd/nxbench -tenants -json BENCH_tenants.json
 
 ## fuzz-smoke: 30 s of coverage-guided fuzzing over each attack surface
-## fed by untrusted or operator input — the block decoders (LZ4 block
-## decode, 842 decode), the CLI-facing parsers (format names, the
+## fed by untrusted or operator input — the DEFLATE decoders (raw
+## inflate, gzip unwrap, and the resumable session against the one-shot
+## inflater), the block decoders (LZ4 block decode, 842 decode), the
+## CLI-facing parsers (format names, the
 ## admission -key=value policy) and the Prometheus exposition round-trip
 ## (WriteProm output with adversarial tenant labels must always
 ## ParseProm back). Finds panics/OOMs in the bounds-checked decode loops
 ## and parser edge cases; go test -fuzz accepts one fuzz target per
 ## invocation, hence one run each.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime 30s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz '^FuzzGzipUnwrap$$' -fuzztime 30s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionEqualsOneShot$$' -fuzztime 30s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz FuzzBlockDecode -fuzztime 30s ./internal/lz4
 	$(GO) test -run '^$$' -fuzz FuzzDecompressRobust -fuzztime 30s ./internal/x842
 	$(GO) test -run '^$$' -fuzz FuzzParseFormat -fuzztime 30s .

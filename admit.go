@@ -51,8 +51,9 @@ func (n *Node) admissionProbe() admission.Load {
 }
 
 // EnableAdmission turns on overload protection for the node: every
-// root-level request (one-shot, format-routed, batch, parallel workers)
-// presents at the gate before dispatch. A zero cfg takes the shipped
+// root-level request (one-shot, format-routed, batch, parallel-worker
+// members, and each StreamWriter/StreamReader segment) presents at the
+// gate before dispatch. A zero cfg takes the shipped
 // policy with MaxInflight derived from topology capacity (devices ×
 // FIFO depth / 4). Shed decisions publish obs.EventShed (events are
 // enabled implicitly) and digest as OutcomeShed when the flight
@@ -202,20 +203,11 @@ func (a *Accelerator) admissionCtrl() *admission.Controller {
 	return a.root.adm.Load()
 }
 
-// admitOp presents one root-level operation at the gate. The returned
-// ticket is nil unless the decision is DecisionAdmit.
-func (a *Accelerator) admitOp(deadline time.Time, cancel <-chan struct{}) (*admission.Ticket, admission.Decision, error) {
-	return a.admit(deadline, cancel, false)
-}
-
-// admitOpNoWait is admitOp for callers that hold outstanding tickets of
-// their own (the batch path): a saturated gate returns
-// admission.ErrWouldWait immediately instead of queueing the request
-// behind slots the caller itself must free.
-func (a *Accelerator) admitOpNoWait(deadline time.Time, cancel <-chan struct{}) (*admission.Ticket, admission.Decision, error) {
-	return a.admit(deadline, cancel, true)
-}
-
+// admit presents one root-level request at the gate. The returned
+// ticket is nil unless the decision is DecisionAdmit. With noWait — for
+// callers holding outstanding tickets of their own, the batch path — a
+// saturated gate returns admission.ErrWouldWait immediately instead of
+// queueing the request behind slots the caller itself must free.
 func (a *Accelerator) admit(deadline time.Time, cancel <-chan struct{}, noWait bool) (*admission.Ticket, admission.Decision, error) {
 	ctrl := a.admissionCtrl()
 	if ctrl == nil {

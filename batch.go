@@ -17,7 +17,6 @@ import (
 
 	"nxzip/internal/admission"
 	"nxzip/internal/nx"
-	"nxzip/internal/telemetry"
 )
 
 // BatchRequest is one request of a CompressBatch call.
@@ -43,14 +42,16 @@ type BatchRequest struct {
 	// Metrics receives the request accounting. The first request of each
 	// device's group additionally carries the group-level paste
 	// accounting (PasteRejects/BackoffWaits/BackoffTime) — there is one
-	// paste per device per dispatch wave, not one per request. (Without
-	// admission a batch is a single wave; with admission enabled a batch
-	// larger than the gate's in-flight ceiling dispatches in waves of at
-	// most that many requests.)
+	// paste per device per dispatch wave, not one per request. (A clean
+	// batch without admission is a single wave; with admission enabled a
+	// batch larger than the gate's in-flight ceiling dispatches in waves
+	// of at most that many requests, and requests whose device failed
+	// re-dispatch in a further wave.)
 	Metrics Metrics
 	// Err reports a terminal per-request failure. Requests whose device
-	// flaked mid-batch are transparently completed by the software
-	// fallback with Metrics.Degraded set, so Err is non-nil only when
+	// flaked mid-batch re-dispatch to another device or are transparently
+	// completed by the software fallback with Metrics.Degraded set, so
+	// Err is non-nil only when
 	// the input itself is at fault (or the fallback failed too), the
 	// Deadline/Cancel gate tripped, or the admission gate shed the
 	// request under overload (admission.ErrOverloaded).
@@ -60,11 +61,10 @@ type BatchRequest struct {
 	// reconstruct each device's share of the batch timeline.
 	Device int
 
-	// req is the root-minted RequestID, stamped on the entry's CRB so the
-	// request's span and digest correlate; devAttempt records whether a
-	// device ran (and failed) the request before the software fallback.
-	req        uint64
-	devAttempt bool
+	// c is the request's lifecycle, carried across dispatch waves: a
+	// device failure re-dispatches in the next wave before the software
+	// fallback takes over.
+	c call
 }
 
 // CompressBatch compresses every request into a gzip frame using the
@@ -77,199 +77,151 @@ func (a *Accelerator) CompressBatch(reqs []*BatchRequest) {
 	if len(reqs) == 0 {
 		return
 	}
-	rec := a.recorder()
-	start := time.Now()
 	n := a.nctx.Size()
-	groups := make([][]nx.BatchEntry, n)
-	owners := make([][]*BatchRequest, n)
-	spans := make([][][2]uint64, n)
-	var soft []*BatchRequest
-	// Admission tickets are held per dispatch wave, not for the whole
-	// batch: a batch larger than the gate's in-flight ceiling would
-	// otherwise saturate the gate with its own earlier tickets and park
-	// later requests behind slots nothing can free until the batch ends.
-	// Requests admit with NoWait; when the gate reports full, the wave
-	// accumulated so far is dispatched and its tickets released before
-	// admission continues. Release is idempotent and nil-safe.
-	var tickets []*admission.Ticket
-	defer func() { // safety net; flush releases on the normal path
-		for _, t := range tickets {
-			t.Release()
-		}
-	}()
-	// expired fails r in place when its Deadline/Cancel gate has tripped.
-	expired := func(r *BatchRequest, attempts int, device string) bool {
-		if r.Cancel != nil {
-			select {
-			case <-r.Cancel:
-				r.Err = fmt.Errorf("nxzip: batch compress: %w", nx.ErrCanceled)
-			default:
-			}
-		}
-		if r.Err == nil && !r.Deadline.IsZero() && time.Now().After(r.Deadline) {
-			r.Err = fmt.Errorf("nxzip: batch compress: %w", nx.ErrDeadlineExceeded)
-		}
-		if r.Err == nil {
-			return false
-		}
-		a.completeDigest(rec, r.req, "batch-compress", "deflate", device, &r.Metrics, start, attempts, telemetry.OutcomeError)
-		if rec != nil {
-			r.Err = reqError(r.req, r.Err)
-		}
-		return true
-	}
-	// flush dispatches the accumulated wave — one envelope per device
-	// with queued entries — settles its results (failing requests over to
-	// soft where eligible), then releases the wave's tickets so the next
-	// wave or concurrent traffic can take the slots.
-	flush := func() {
-		waved := false
-		for i := range groups {
-			if len(groups[i]) > 0 {
-				waved = true
-				break
-			}
-		}
-		if waved {
-			errs := a.nctx.SubmitBatch(groups)
-			for i := range groups {
-				if len(groups[i]) == 0 {
-					continue
-				}
-				ctx := a.nctx.At(i)
-				for k := range groups[i] {
-					en := &groups[i][k]
-					r := owners[i][k]
-					ctx.ReleaseVA(spans[i][k][0])
-					ctx.ReleaseVA(spans[i][k][1])
-					err := errs[i] // device-level failure drops the whole group
-					if err == nil {
-						err = en.Err
-					}
-					if err == nil && en.CSB.CC != nx.CCSuccess {
-						err = ccFail("batch compress", &en.CSB)
-					}
-					if err == nil {
-						r.Out = en.CSB.Output
-						fillMetrics(&r.Metrics, &en.Rep, &en.CSB)
-						r.Device = i
-						a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeOK)
-						continue
-					}
-					if !failoverEligible(err) {
-						r.Err = err
-						a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeError)
-						if rec != nil {
-							r.Err = reqError(r.req, r.Err)
-						}
-						continue
-					}
-					r.devAttempt = true
-					soft = append(soft, r)
-				}
-			}
-		}
-		for _, t := range tickets {
-			t.Release()
-		}
-		tickets = tickets[:0]
-		for i := range groups {
-			groups[i] = groups[i][:0]
-			owners[i] = owners[i][:0]
-			spans[i] = spans[i][:0]
-		}
-	}
+	b := &batchWaves{a: a, groups: make([][]nx.BatchEntry, n), owners: make([][]*BatchRequest, n)}
 	for _, r := range reqs {
 		if r == nil {
 			continue
 		}
-		r.Err = nil
-		r.Device = -1
-		r.req = nextReq()
-		r.devAttempt = false
-		if expired(r, 0, "") {
-			continue
+		r.Err, r.Device = nil, -1
+		r.c = call{a: a, nctx: a.nctx, op: "batch-compress", need: deflateNeed}
+		// Admission tickets are held per dispatch wave, not for the whole
+		// batch: a batch larger than the gate's in-flight ceiling would
+		// otherwise saturate the gate with its own earlier tickets. Requests
+		// present with NoWait; when the gate reports full, the waves
+		// accumulated so far run to completion — releasing their tickets —
+		// and the request presents again, this time willing to queue: any
+		// further wait is genuine contention with other traffic.
+		err := r.c.begin(&r.Metrics, r.Deadline, r.Cancel, true)
+		if errors.Is(err, admission.ErrWouldWait) {
+			b.flush()
+			err = r.c.admit(&r.Metrics, r.Deadline, r.Cancel, false)
 		}
-		// Overload gate, per request: a shed fails the request with
-		// ErrOverloaded before any device work; a brownout degrade routes
-		// it straight to the software fallback.
-		ticket, dec, aerr := a.admitOpNoWait(r.Deadline, r.Cancel)
-		if errors.Is(aerr, admission.ErrWouldWait) {
-			// The gate is full — possibly with this batch's own wave. Make
-			// room by dispatching and releasing what we hold, then present
-			// again, this time willing to queue: any further wait is
-			// genuine contention with other traffic, not self-inflicted.
-			flush()
-			ticket, dec, aerr = a.admitOp(r.Deadline, r.Cancel)
-		}
-		if aerr != nil {
-			r.Err = aerr
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", "admission", &r.Metrics, start, 0, telemetry.OutcomeShed)
-			if rec != nil {
-				r.Err = reqError(r.req, r.Err)
-			}
-			continue
-		}
-		tickets = append(tickets, ticket)
-		if dec == admission.DecisionDegrade {
-			soft = append(soft, r)
-			continue
-		}
-		i, perr := a.nctx.PickIndexAvail()
-		if perr != nil {
-			soft = append(soft, r) // pool unhealthy: straight to software
-			continue
-		}
-		ctx := a.nctx.At(i)
-		srcVA, err := ctx.AcquireVA(len(r.Src))
 		if err != nil {
 			r.Err = err
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeError)
 			continue
 		}
-		capOut := 2*len(r.Src) + 1024
-		dstVA, err := ctx.AcquireVA(capOut)
-		if err != nil {
-			ctx.ReleaseVA(srcVA)
-			r.Err = err
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", a.node.Label(i), &r.Metrics, start, 1, telemetry.OutcomeError)
-			continue
-		}
-		en := nx.BatchEntry{CRB: nx.CRB{
-			Func: a.funcCode(), Wrap: nx.WrapGzip, Input: r.Src,
-			SourceVA: srcVA, TargetVA: dstVA, TargetCap: capOut,
-			Target: r.Dst, ReqID: r.req,
-			Deadline: r.Deadline, Cancel: r.Cancel,
-		}}
-		if en.CRB.Func == nx.FCCompressCannedDHT {
-			en.CRB.DHT = a.canned
-		}
-		groups[i] = append(groups[i], en)
-		owners[i] = append(owners[i], r)
-		spans[i] = append(spans[i], [2]uint64{srcVA, dstVA})
+		b.route(r)
 	}
-	flush()
-	for _, r := range soft {
-		attempts := 1
-		if r.devAttempt {
-			attempts = 2
-		}
-		if expired(r, attempts, "software") {
-			continue
-		}
-		out, m, err := a.softCompress(r.Src, nx.WrapGzip)
-		if err != nil {
-			r.Err = err
-			a.completeDigest(rec, r.req, "batch-compress", "deflate", "software", &r.Metrics, start, attempts, telemetry.OutcomeError)
-			if rec != nil {
-				r.Err = reqError(r.req, r.Err)
-			}
-			continue
-		}
-		a.met.fallback(nx.Codecs(nx.CodecDeflate))
-		r.Out = append(r.Dst[:0], out...)
-		r.Metrics = *m
-		r.Device = -1
-		a.completeDigest(rec, r.req, "batch-compress", "deflate", "software", &r.Metrics, start, attempts, telemetry.OutcomeDegraded)
+	b.flush()
+}
+
+// batchWaves accumulates admitted requests into per-device groups, one
+// switchboard envelope per device per wave.
+type batchWaves struct {
+	a      *Accelerator
+	groups [][]nx.BatchEntry
+	owners [][]*BatchRequest
+	retry  []*BatchRequest // failed over: next wave
+	soft   []*BatchRequest // no device: software, after the waves
+}
+
+// route places r's next attempt in the current wave, or queues it for
+// the software path when pick finds no device (or browned out).
+func (b *batchWaves) route(r *BatchRequest) {
+	i, ok := r.c.pick()
+	if !ok {
+		b.soft = append(b.soft, r)
+		return
 	}
+	r.Metrics = Metrics{}
+	ctx := b.a.nctx.At(i)
+	capOut := 2*len(r.Src) + 1024
+	srcVA, err := ctx.AcquireVA(len(r.Src))
+	if err != nil {
+		b.settle(r, i, err)
+		return
+	}
+	dstVA, err := ctx.AcquireVA(capOut)
+	if err != nil {
+		ctx.ReleaseVA(srcVA)
+		b.settle(r, i, err)
+		return
+	}
+	en := nx.BatchEntry{CRB: nx.CRB{
+		Func: b.a.funcCode(), Wrap: nx.WrapGzip, Input: r.Src,
+		SourceVA: srcVA, TargetVA: dstVA, TargetCap: capOut,
+		Target: r.Dst, ReqID: r.c.req, Hop: r.c.attempts - 1,
+		Deadline: r.Deadline, Cancel: r.Cancel,
+	}}
+	if en.CRB.Func == nx.FCCompressCannedDHT {
+		en.CRB.DHT = b.a.canned
+	}
+	b.groups[i] = append(b.groups[i], en)
+	b.owners[i] = append(b.owners[i], r)
+}
+
+// settle ends r's attempt on device i: done, failed, or re-dispatched
+// in the next wave.
+func (b *batchWaves) settle(r *BatchRequest, i int, err error) {
+	switch {
+	case r.c.settle(i, &r.Metrics, err):
+		b.retry = append(b.retry, r)
+	case err == nil:
+		r.Device = i
+		r.Err = r.c.finish(&r.Metrics, nil)
+	default:
+		r.Err = r.c.finish(&r.Metrics, err)
+	}
+}
+
+// flush runs dispatch waves until no request is left to re-dispatch,
+// then completes the software-bound requests, so every ticket the batch
+// holds is released when it returns.
+func (b *batchWaves) flush() {
+	for {
+		retry := b.retry
+		b.retry = nil
+		for _, r := range retry {
+			b.route(r)
+		}
+		if !b.pending() {
+			break
+		}
+		errs := b.a.nctx.SubmitBatch(b.groups)
+		for i := range b.groups {
+			ctx := b.a.nctx.At(i)
+			for k := range b.groups[i] {
+				en, r := &b.groups[i][k], b.owners[i][k]
+				ctx.ReleaseVA(en.CRB.SourceVA)
+				ctx.ReleaseVA(en.CRB.TargetVA)
+				err := errs[i] // device-level failure drops the whole group
+				if err == nil {
+					err = en.Err
+				}
+				if err == nil && en.CSB.CC != nx.CCSuccess {
+					err = ccFail("batch compress", &en.CSB)
+				}
+				fillMetrics(&r.Metrics, &en.Rep, &en.CSB)
+				if err == nil {
+					r.Out = en.CSB.Output
+				}
+				b.settle(r, i, err)
+			}
+			b.groups[i] = b.groups[i][:0]
+			b.owners[i] = b.owners[i][:0]
+		}
+	}
+	for _, r := range b.soft {
+		r.Err = r.c.software(&r.Metrics, func() error {
+			if err := expired(r.Deadline, r.Cancel); err != nil {
+				return fmt.Errorf("nxzip: %s: %w", r.c.op, err)
+			}
+			out, err := b.a.softCompress(r.Src, nx.WrapGzip, &r.Metrics)
+			if err == nil {
+				r.Out = append(r.Dst[:0], out...)
+			}
+			return err
+		})
+	}
+	b.soft = b.soft[:0]
+}
+
+func (b *batchWaves) pending() bool {
+	for _, g := range b.groups {
+		if len(g) > 0 {
+			return true
+		}
+	}
+	return false
 }

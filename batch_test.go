@@ -141,6 +141,38 @@ func TestCompressBatchDegradesToSoftware(t *testing.T) {
 	}
 }
 
+// TestChaosBatchRedispatch: with one device of two dead, the requests
+// routed to it fail over to the survivor in the next dispatch wave —
+// served by a device, not degraded to software, and counted as
+// re-dispatches.
+func TestChaosBatchRedispatch(t *testing.T) {
+	_, acc, injs := openChaosNode(t, P9Node(2), faultinject.Profile{})
+	injs[0].SetOffline(true)
+	reqs := make([]*BatchRequest, 8)
+	for i := range reqs {
+		reqs[i] = &BatchRequest{Src: corpus.Generate(corpus.Source, 1500, int64(i+1))}
+	}
+	acc.CompressBatch(reqs)
+	redispatched := 0
+	for i, r := range reqs {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+		if r.Metrics.Degraded || r.Device != 1 {
+			t.Fatalf("request %d: degraded=%v device=%d, want served by the surviving device 1",
+				i, r.Metrics.Degraded, r.Device)
+		}
+		redispatched += r.Metrics.Redispatches
+		plain, err := SoftwareGunzip(r.Out)
+		if err != nil || !bytes.Equal(plain, r.Src) {
+			t.Fatalf("request %d mismatch: %v", i, err)
+		}
+	}
+	if redispatched == 0 {
+		t.Fatal("no request re-dispatched off the dead device")
+	}
+}
+
 // TestCompressBatchConcurrent exercises the batch path under the race
 // detector: concurrent batches over a multi-device node, interleaved
 // with one-shot traffic, must stay byte-exact with no lost completions.

@@ -94,7 +94,7 @@ func (f Format) wrap() nx.Wrap {
 func (a *Accelerator) CompressFormat(f Format, src []byte) ([]byte, *Metrics, error) {
 	switch f {
 	case FormatGzip, FormatZlib, FormatRaw:
-		return a.compress(src, f.wrap())
+		return a.compress(a.nctx, "compress", src, f.wrap())
 	case Format842, FormatLZ4:
 		return a.blockCompressOp(f.Codec(), src)
 	}
@@ -136,63 +136,53 @@ func (a *Accelerator) Transcode(from, to Format, src []byte) ([]byte, *Metrics, 
 	case ct == nx.CodecDeflate:
 		wrap = to.wrap()
 	}
-	need := nx.Codecs(cf, ct)
-	return a.withFailoverCodec("transcode", need,
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
+	c := call{a: a, nctx: a.nctx, op: "transcode", need: nx.Codecs(cf, ct)}
+	return c.runCopy(
+		func(ctx *nx.Context, m *Metrics, req uint64, hop int) ([]byte, error) {
 			crb := &nx.CRB{
 				Func: nx.FCTranscode, Wrap: wrap,
 				SourceCodec: cf, TargetCodec: ct,
 				Input: src, ReqID: req, Hop: hop,
 			}
-			csb, rep, err := ctx.Submit(crb)
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail("transcode", csb)
-			}
-			return csb.Output, reportToMetrics(rep, csb), nil
+			return submitCRB(ctx, crb, "transcode", m)
 		},
-		func() ([]byte, *Metrics, error) { return a.softTranscode(from, to, src) })
+		func(m *Metrics) ([]byte, error) { return a.softTranscode(from, to, src, m) })
 }
 
 // softTranscode is Transcode's software fallback: decode with the
 // source codec's software path, re-encode with the target's, and merge
 // the two passes' accounting.
-func (a *Accelerator) softTranscode(from, to Format, src []byte) ([]byte, *Metrics, error) {
+func (a *Accelerator) softTranscode(from, to Format, src []byte, m *Metrics) ([]byte, error) {
 	var (
 		plain []byte
-		dm    *Metrics
+		dm    Metrics
 		err   error
 	)
 	if from.Codec() == nx.CodecDeflate {
-		plain, dm, err = a.softDecompress(src, from.wrap(), 0)
+		plain, err = a.softDecompress(src, from.wrap(), 0, &dm)
 	} else {
-		plain, dm, err = softBlockDecompress(from.Codec(), src, 0)
+		plain, err = softBlockDecompress(from.Codec(), src, 0, &dm)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var (
-		out []byte
-		cm  *Metrics
-	)
+	var out []byte
 	if to.Codec() == nx.CodecDeflate {
-		out, cm, err = a.softCompress(plain, to.wrap())
+		out, err = a.softCompress(plain, to.wrap(), m)
 	} else {
-		out, cm, err = softBlockCompress(to.Codec(), plain)
+		out, err = softBlockCompress(to.Codec(), plain, m)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	addMetricsInto(cm, dm)
-	cm.InBytes = len(src)
-	cm.OutBytes = len(out)
-	cm.Ratio = 0
+	m.add(&dm)
+	m.InBytes = len(src)
+	m.OutBytes = len(out)
+	m.Ratio = 0
 	if len(out) > 0 {
-		cm.Ratio = float64(len(src)) / float64(len(out))
+		m.Ratio = float64(len(src)) / float64(len(out))
 	}
-	return out, cm, nil
+	return out, nil
 }
 
 // nodeFormatOp runs one format-routed call on the node's shared default

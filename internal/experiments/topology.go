@@ -70,9 +70,12 @@ func measureTopology(devices int, policy topology.Policy) (totalBytes int, makes
 	src := corpus.Generate(corpus.Text, chunks*topologyChunkSize, Seed)
 	for i := 0; i < chunks; i++ {
 		chunk := src[i*topologyChunkSize : (i+1)*topologyChunkSize]
-		ctx, done := nctx.Pick()
-		_, _, err := ctx.Compress(chunk, nx.FCCompressDHT, nx.WrapGzip, true)
-		done(err)
+		d, err := nctx.PickIndexCodec(nx.Codecs(nx.CodecDeflate))
+		if err == nil {
+			nctx.AcquireIndex(d)
+			_, _, err = nctx.At(d).Compress(chunk, nx.FCCompressDHT, nx.WrapGzip, true)
+			nctx.ReleaseIndex(d, err)
+		}
 		if err != nil {
 			panic(fmt.Sprintf("E18 %d devices: %v", devices, err))
 		}

@@ -63,10 +63,14 @@ type pmLine struct {
 // TriggerPostmortem captures the recorder's state into a bundle. The
 // returned path is "" when no Dir is configured (the trigger still
 // counts and timestamps). Concurrent triggers serialize; each produces
-// its own bundle.
+// its own bundle, and PostmortemCount moves only once the bundle is on
+// disk, so a reader that sees the count also finds the bundle.
 func (r *Recorder) TriggerPostmortem(reason string) (string, error) {
+	r.pmTrigger.Lock()
+	defer r.pmTrigger.Unlock()
+	defer r.pmCount.Add(1)
 	now := time.Now()
-	ordinal := r.pmCount.Add(1)
+	ordinal := r.pmCount.Load() + 1
 	r.pmMu.Lock()
 	r.lastAt, r.lastReason = now, reason
 	r.pmMu.Unlock()

@@ -160,7 +160,9 @@ type Recorder struct {
 
 	closed atomic.Bool
 
-	// Postmortem state (postmortem.go).
+	// Postmortem state (postmortem.go). pmTrigger serializes triggers;
+	// pmMu guards the last-trigger fields.
+	pmTrigger  sync.Mutex
 	pmCount    atomic.Int64
 	pmMu       sync.Mutex
 	lastAt     time.Time

@@ -10,6 +10,7 @@ package nx
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"nxzip/internal/lz4"
@@ -96,9 +97,15 @@ func (s CodecSet) Supports(need CodecSet) bool {
 	return s&need == need
 }
 
+// String names the set: "all" for the zero set, the codec's constant
+// name for a single-codec set (allocation-free, so request digests can
+// label themselves on the hot path), and "a+b" joins otherwise.
 func (s CodecSet) String() string {
 	if s == 0 {
 		return "all"
+	}
+	if c := Codec(bits.TrailingZeros32(uint32(s))); s&(s-1) == 0 && c < codecCount {
+		return c.String()
 	}
 	var names []string
 	for _, c := range AllCodecs() {

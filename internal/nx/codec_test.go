@@ -35,6 +35,26 @@ func TestCodecSetSemantics(t *testing.T) {
 	}
 }
 
+// TestCodecSetStringSingleAllocFree: a single-codec set names itself
+// with the codec's constant name and no allocation — the request
+// lifecycle labels every digest with it on the zero-alloc path.
+func TestCodecSetStringSingleAllocFree(t *testing.T) {
+	for _, c := range AllCodecs() {
+		s := Codecs(c)
+		if got := s.String(); got != c.String() {
+			t.Fatalf("Codecs(%s).String() = %q", c, got)
+		}
+		var name string
+		if n := testing.AllocsPerRun(100, func() { name = s.String() }); n != 0 {
+			t.Fatalf("Codecs(%s).String(): %.1f allocs per call, want 0", c, n)
+		}
+		_ = name
+	}
+	if got := CodecSet(1 << 20).String(); got != "none" {
+		t.Fatalf("unknown-codec set String() = %q, want none", got)
+	}
+}
+
 func TestParseCodec(t *testing.T) {
 	for name, want := range map[string]Codec{
 		"deflate": CodecDeflate, "GZIP": CodecDeflate, "842": Codec842, "lz4": CodecLZ4,

@@ -10,8 +10,8 @@ import (
 
 // Graceful drain: a draining device stops receiving new work — admit
 // refuses it exactly as it refuses a quarantined device with no probe
-// due, so every pick path (pickIndexFor, PickStickyAvoid, the batch
-// router) routes around it for free — while in-flight CRBs run to
+// due, so both picks (PickIndexCodec and a stream's PickSticky) route
+// around it for free — while in-flight CRBs run to
 // completion. Unlike quarantine, drain is an operator decision, not a
 // health verdict: there are no probes, no readmission, and the device
 // only rejoins on an explicit Undrain. Drain and quarantine are

@@ -11,9 +11,10 @@ import (
 	"nxzip/internal/obs"
 )
 
-// ErrNoHealthyDevice is returned by PickAvail when every device of the
-// node is quarantined and none is due for a probe — the signal the
-// failover layer uses to fall back to the software path.
+// ErrNoHealthyDevice is returned by PickIndexCodec and PickSticky when
+// every capable device of the node is quarantined (none due for a
+// probe) or draining — the signal the failover layer uses to fall back
+// to the software path.
 var ErrNoHealthyDevice = errors.New("topology: no healthy device available")
 
 // ErrNoCapableDevice is returned by the codec-aware picks when no

@@ -71,7 +71,11 @@ func (affinity) Pick(n *Node, pid int, ctx uint64) int {
 	binary.LittleEndian.PutUint64(b[0:8], uint64(pid))
 	binary.LittleEndian.PutUint64(b[8:16], ctx)
 	h.Write(b[:])
-	return int(h.Sum64() % uint64(n.Size()))
+	// FNV-1a's low bits cancel when pid and context id share their low
+	// bytes (pid k, id k lands every context on one device); folding the
+	// high half in spreads them.
+	x := h.Sum64()
+	return int((x ^ x>>32) % uint64(n.Size()))
 }
 
 // ParsePolicy maps a policy name (a -dispatch flag value) to a Policy:

@@ -382,76 +382,48 @@ func (c *Context) Primary() *nx.Context { return c.ctxs[0] }
 // At returns device i's context.
 func (c *Context) At(i int) *nx.Context { return c.ctxs[i] }
 
-// deflateNeed is the capability requirement of the classic
-// single-format entry points (Pick, PickAvail, PickIndexAvail,
-// PickSticky): they all submit DEFLATE work, so on a mixed-capability
-// node they must route past devices that only serve other codecs.
-var deflateNeed = nx.Codecs(nx.CodecDeflate)
-
-// pickIndex resolves the policy's choice for DEFLATE work — see
-// pickIndexFor.
-func (c *Context) pickIndex() (int, bool) { return c.pickIndexFor(deflateNeed) }
-
-// pickIndexFor resolves the policy's choice through the capability mask
-// and the health scoreboard: the picked device must advertise every
-// codec in need and be admissible (healthy, or quarantined with a probe
-// due); otherwise the scan wraps to the next capable admissible device.
-// The capability test runs first — admit spends probe admissions, which
-// must not leak to devices the request could never run on. ok=false
-// means no device qualifies — the chosen index is the policy's original
-// pick, for callers that submit anyway.
-func (c *Context) pickIndexFor(need nx.CodecSet) (int, bool) {
-	i := c.node.policy.Pick(c.node, int(c.pid), c.id)
-	if i < 0 || i >= len(c.ctxs) {
-		i = 0
-	}
-	if c.node.Capable(i, need) && c.node.admit(i) {
-		return i, true
-	}
-	for j := 1; j < len(c.ctxs); j++ {
-		if k := (i + j) % len(c.ctxs); c.node.Capable(k, need) && c.node.admit(k) {
-			return k, true
-		}
-	}
-	return i, false
-}
-
-// acquire counts device i in-flight and returns its context plus the
-// release closure. The release takes the submission's outcome and feeds
-// the health scoreboard; it is idempotent.
-func (c *Context) acquire(i int) (*nx.Context, func(error)) {
-	c.AcquireIndex(i)
-	var once sync.Once
-	return c.ctxs[i], func(err error) {
-		once.Do(func() { c.ReleaseIndex(i, err) })
-	}
-}
-
-// PickIndexAvail is PickAvail by index: it routes one request through
-// the policy and health scoreboard and returns the chosen device index,
-// or ErrNoHealthyDevice when nothing is admissible. Paired with
-// AcquireIndex/ReleaseIndex it is the allocation-free dispatch path —
-// no context pointer, no release closure — used by the pooled one-shot
-// and batch submitters (the index also keys At and Device for buffer
-// mapping on the right MMU).
-func (c *Context) PickIndexAvail() (int, error) {
-	return c.PickIndexCodec(deflateNeed)
-}
-
-// PickIndexCodec is PickIndexAvail for an explicit codec requirement:
-// only devices advertising every codec in need are considered. It
-// distinguishes a pool with no such hardware (ErrNoCapableDevice —
-// degrade to software now, re-dispatching is pointless) from one whose
-// capable devices are all quarantined (ErrNoHealthyDevice).
+// PickIndexCodec routes one request through the policy, the capability
+// mask and the health scoreboard: the policy's device when it
+// advertises every codec in need and is admissible (healthy, or
+// quarantined with a probe due), else the next such device in index
+// order. Paired with AcquireIndex/ReleaseIndex it is the
+// allocation-free dispatch path, and the index also keys At and Device
+// for buffer mapping on the right MMU. It distinguishes a pool with no
+// such hardware (ErrNoCapableDevice — degrade to software now,
+// re-dispatching is pointless) from one whose capable devices are all
+// quarantined or draining (ErrNoHealthyDevice).
 func (c *Context) PickIndexCodec(need nx.CodecSet) (int, error) {
-	i, ok := c.pickIndexFor(need)
-	if !ok {
-		if !c.node.AnyCapable(need) {
-			return 0, ErrNoCapableDevice
-		}
-		return 0, ErrNoHealthyDevice
+	return c.PickSticky(need, -1, false)
+}
+
+// PickSticky routes one request of a stream pinned to device pin:
+// segments share history or resume state, so they stay on pin while it
+// is capable and admissible. When it is not — quarantined, draining — or
+// when repin reports that the pin just failed this request, the stream
+// migrates to the first capable admissible device other than pin,
+// scanning from the policy's choice; history and resume state travel in
+// the CRB, so any device can continue the stream. A negative pin asks
+// for a fresh placement, which is exactly PickIndexCodec. The pick
+// counts nothing: callers pair it with AcquireIndex/ReleaseIndex. The
+// capability test runs before admit, which spends probe admissions that
+// must not leak to devices the request could never run on.
+func (c *Context) PickSticky(need nx.CodecSet, pin int, repin bool) (int, error) {
+	if pin >= 0 && pin < len(c.ctxs) && !repin && c.node.Capable(pin, need) && c.node.admit(pin) {
+		return pin, nil
 	}
-	return i, nil
+	start := c.node.policy.Pick(c.node, int(c.pid), c.id)
+	if start < 0 || start >= len(c.ctxs) {
+		start = 0
+	}
+	for j := range c.ctxs {
+		if k := (start + j) % len(c.ctxs); k != pin && c.node.Capable(k, need) && c.node.admit(k) {
+			return k, nil
+		}
+	}
+	if !c.node.AnyCapable(need) {
+		return 0, ErrNoCapableDevice
+	}
+	return 0, ErrNoHealthyDevice
 }
 
 // AcquireIndex counts one dispatch against device i (in-flight load +
@@ -463,8 +435,8 @@ func (c *Context) AcquireIndex(i int) {
 }
 
 // ReleaseIndex ends a dispatch acquired with AcquireIndex, feeding the
-// outcome into the health scoreboard. Unlike Pick's release closure it
-// is not idempotent: call it exactly once per acquire.
+// outcome into the health scoreboard. It is not idempotent: call it
+// exactly once per acquire.
 func (c *Context) ReleaseIndex(i int, err error) {
 	c.ReleaseIndexReq(i, err, 0)
 }
@@ -477,91 +449,15 @@ func (c *Context) ReleaseIndexReq(i int, err error, req uint64) {
 	c.node.ReportResultReq(i, err, req)
 }
 
-// Pick routes one request: the node policy selects a device (filtered
-// through the health scoreboard), and Pick returns that device's context
-// plus a release function the caller runs with the submission's outcome —
-// release(nil) for success, release(err) to feed failures into the
-// quarantine logic. Device selection must happen before buffers are
-// mapped — a VA mapped on one device's MMU means nothing to another —
-// which is why submission helpers take the picked context. When every
-// device is quarantined Pick still returns the policy's choice (callers
-// that would rather fall back to software use PickAvail).
-func (c *Context) Pick() (*nx.Context, func(error)) {
-	i, _ := c.pickIndex()
-	return c.acquire(i)
-}
-
-// PickAvail is Pick for failover-aware callers: when no device is
-// admissible (all quarantined, no probe due) it reports
-// ErrNoHealthyDevice instead of returning a doomed context, so the
-// caller can take the software path immediately.
-func (c *Context) PickAvail() (*nx.Context, func(error), error) {
-	i, ok := c.pickIndex()
-	if !ok {
-		return nil, nil, ErrNoHealthyDevice
-	}
-	ctx, release := c.acquire(i)
-	return ctx, release, nil
-}
-
-// PickSticky routes a whole stream: the policy assigns a device once (at
-// stream construction — segments share history or resume state, so they
-// stay put) and only the pick itself is counted against the device's
-// in-flight load. Stream owners feed per-segment outcomes through
-// ReportFor and migrate with PickStickyAvoid on failure.
-func (c *Context) PickSticky() *nx.Context {
-	i, _ := c.pickIndex()
-	c.node.dispatch[i].Inc()
-	return c.ctxs[i]
-}
-
-// IndexOf returns the device index owning ctx, or -1 when ctx is not one
-// of this node context's members.
-func (c *Context) IndexOf(ctx *nx.Context) int {
-	for i, m := range c.ctxs {
-		if m == ctx {
-			return i
-		}
-	}
-	return -1
-}
-
-// ReportFor feeds one submission outcome for the device owning ctx into
-// the health scoreboard — the sticky-pick counterpart of Pick's release
-// closure.
-func (c *Context) ReportFor(ctx *nx.Context, err error) {
-	c.node.ReportResult(c.IndexOf(ctx), err)
-}
-
-// PickStickyAvoid re-pins a stream after its device failed: it returns
-// an admissible context other than avoid, preferring the policy's
-// choice. With no admissible alternative it reports ErrNoHealthyDevice
-// (the stream falls back to software). Streams can migrate because
-// history and resume state travel in the CRB, not in the device.
-func (c *Context) PickStickyAvoid(avoid *nx.Context) (*nx.Context, error) {
-	start := c.node.policy.Pick(c.node, int(c.pid), c.id)
-	if start < 0 || start >= len(c.ctxs) {
-		start = 0
-	}
-	for j := 0; j < len(c.ctxs); j++ {
-		k := (start + j) % len(c.ctxs)
-		if c.ctxs[k] != avoid && c.node.Capable(k, deflateNeed) && c.node.admit(k) {
-			c.node.dispatch[k].Inc()
-			return c.ctxs[k], nil
-		}
-	}
-	return nil, ErrNoHealthyDevice
-}
-
 // SubmitBatch submits per-device batches concurrently: groups[i] is the
-// batch bound for device i (route entries with PickIndexAvail so the
-// dispatch policy and health scoreboard choose the device); nil or empty
-// groups are skipped. Each non-empty group costs its device one paste,
-// one send-window credit and one FIFO round regardless of size — the
-// batched small-request path — and distinct devices run their groups in
-// parallel. Returns per-device submission errors indexed like groups;
-// per-entry status is in each entry's CSB and Err. Dispatch accounting
-// and health feedback are handled here, one acquire/release per entry.
+// batch bound for device i; nil or empty groups are skipped. Each
+// non-empty group costs its device one paste, one send-window credit
+// and one FIFO round regardless of size — the batched small-request
+// path — and distinct devices run their groups in parallel. Returns
+// per-device submission errors indexed like groups; per-entry status is
+// in each entry's CSB and Err. Dispatch accounting and health feedback
+// stay with the caller: one AcquireIndex when an entry is routed, one
+// ReleaseIndex when its outcome is settled.
 func (c *Context) SubmitBatch(groups [][]nx.BatchEntry) []error {
 	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
@@ -569,22 +465,10 @@ func (c *Context) SubmitBatch(groups [][]nx.BatchEntry) []error {
 		if i >= len(c.ctxs) || len(groups[i]) == 0 {
 			continue
 		}
-		for range groups[i] {
-			c.AcquireIndex(i)
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g := groups[i]
-			err := c.ctxs[i].SubmitBatch(g)
-			errs[i] = err
-			for k := range g {
-				outcome := err
-				if outcome == nil {
-					outcome = g[k].Err
-				}
-				c.ReleaseIndexReq(i, outcome, g[k].CRB.ReqID)
-			}
+			errs[i] = c.ctxs[i].SubmitBatch(groups[i])
 		}(i)
 	}
 	wg.Wait()

@@ -9,6 +9,22 @@ import (
 	"nxzip/internal/telemetry"
 )
 
+var deflateNeed = nx.Codecs(nx.CodecDeflate)
+
+// pick routes one DEFLATE request the way the root lifecycle does:
+// PickIndexCodec, then AcquireIndex. The caller pairs it with exactly
+// one ReleaseIndex.
+func pick(t *testing.T, nctx *Context) int {
+	t.Helper()
+	i, err := nctx.PickIndexCodec(deflateNeed)
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	nctx.AcquireIndex(i)
+	return i
+}
+
 func TestShapes(t *testing.T) {
 	p9 := P9Node(2)
 	if p9.Size() != 2 || p9.Devices[0].Label != "chip0" || p9.Devices[1].Label != "chip1" {
@@ -37,7 +53,7 @@ func TestShapes(t *testing.T) {
 	}
 }
 
-// TestRoundRobinBalanceRace drives many goroutines through Pick and
+// TestRoundRobinBalanceRace drives many goroutines through the pick and
 // checks no request is lost and the distribution is exactly balanced.
 // Run under -race this is the dispatcher's concurrency regression test.
 func TestRoundRobinBalanceRace(t *testing.T) {
@@ -56,11 +72,11 @@ func TestRoundRobinBalanceRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				ctx, done := nctx.Pick()
-				if ctx == nil {
-					t.Error("Pick returned nil context")
+				i := pick(t, nctx)
+				if nctx.At(i) == nil {
+					t.Error("pick returned a device without a context")
 				}
-				done(nil)
+				nctx.ReleaseIndex(i, nil)
 			}
 		}()
 	}
@@ -99,8 +115,7 @@ func TestLeastLoadedRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				_, done := nctx.Pick()
-				done(nil)
+				nctx.ReleaseIndex(pick(t, nctx), nil)
 			}
 		}()
 	}
@@ -125,19 +140,23 @@ func TestAffinitySticky(t *testing.T) {
 	n := New(P9Node(4), Affinity())
 	nctx := n.OpenContext(1)
 	defer nctx.Close()
-	first := nctx.PickSticky()
+	first, err := nctx.PickSticky(deflateNeed, -1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
-		if got := nctx.PickSticky(); got != first {
+		if got, _ := nctx.PickSticky(deflateNeed, -1, false); got != first {
 			t.Fatalf("pick %d moved devices under affinity", i)
 		}
 	}
 	// Distinct contexts hash apart: with 64 contexts over 4 devices the
 	// chance of all landing on one device is (1/4)^63 — any spread proves
 	// the hash is consuming the context id.
-	seen := map[*nx.Context]bool{first: true}
+	seen := map[int]bool{first: true}
 	for pid := 2; pid <= 65; pid++ {
 		c := n.OpenContext(nmmu.PID(pid))
-		seen[c.PickSticky()] = true
+		i, _ := c.PickSticky(deflateNeed, -1, false)
+		seen[i] = true
 		c.Close()
 	}
 	if len(seen) < 2 {
@@ -168,9 +187,9 @@ func TestDispatchThroughDevicesRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				ctx, done := nctx.Pick()
-				_, _, err := ctx.Compress(src, nx.FCCompressDHT, nx.WrapGzip, true)
-				done(nil)
+				i := pick(t, nctx)
+				_, _, err := nctx.At(i).Compress(src, nx.FCCompressDHT, nx.WrapGzip, true)
+				nctx.ReleaseIndex(i, nil)
 				if err != nil {
 					t.Errorf("compress: %v", err)
 				}
@@ -210,11 +229,11 @@ func TestSingleDeviceSnapshotCompat(t *testing.T) {
 	n := New(Single(nx.P9Device()), nil)
 	nctx := n.OpenContext(1)
 	defer nctx.Close()
-	ctx, done := nctx.Pick()
-	if _, _, err := ctx.Compress([]byte("hello hello hello"), nx.FCCompressFHT, nx.WrapGzip, true); err != nil {
+	i := pick(t, nctx)
+	if _, _, err := nctx.At(i).Compress([]byte("hello hello hello"), nx.FCCompressFHT, nx.WrapGzip, true); err != nil {
 		t.Fatal(err)
 	}
-	done(nil)
+	nctx.ReleaseIndex(i, nil)
 	snap := n.MetricsSnapshot()
 	if got := snap.Counter("nx.requests", ""); got != 1 {
 		t.Fatalf("nx.requests = %d under plain label, want 1", got)
@@ -277,5 +296,44 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestPickStickyMigration pins the stream pick: a pinned stream stays
+// on its device, moves off it when the pin just failed (repin) or starts
+// draining, never lands on a device that cannot serve its codec, and
+// reports ErrNoHealthyDevice once no alternative remains. None of it
+// counts a dispatch: that is AcquireIndex's job.
+func TestPickStickyMigration(t *testing.T) {
+	n := New(P9Node(3), RoundRobin())
+	nctx := n.OpenContext(1)
+	defer nctx.Close()
+	pin, err := nctx.PickSticky(deflateNeed, -1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if got, err := nctx.PickSticky(deflateNeed, pin, false); err != nil || got != pin {
+			t.Fatalf("pinned pick %d = %d, %v; want %d", i, got, err, pin)
+		}
+	}
+	if got, err := nctx.PickSticky(deflateNeed, pin, true); err != nil || got == pin {
+		t.Fatalf("repin after failure = %d, %v; want a device other than %d", got, err, pin)
+	}
+	n.StartDrain(pin)
+	moved, err := nctx.PickSticky(deflateNeed, pin, false)
+	if err != nil || moved == pin {
+		t.Fatalf("pick with a draining pin = %d, %v; want a migration off %d", moved, err, pin)
+	}
+	for i := 0; i < n.Size(); i++ {
+		if n.Dispatched(i) != 0 {
+			t.Fatalf("sticky picks counted %d dispatches on device %d", n.Dispatched(i), i)
+		}
+	}
+	for i := 0; i < n.Size(); i++ {
+		n.StartDrain(i)
+	}
+	if _, err := nctx.PickSticky(deflateNeed, moved, false); err != ErrNoHealthyDevice {
+		t.Fatalf("pick with every device draining: err = %v, want ErrNoHealthyDevice", err)
 	}
 }

@@ -130,6 +130,24 @@ func (m *Metrics) Throughput() float64 {
 	return float64(n) / m.DeviceTime.Seconds()
 }
 
+// add accumulates o into m: byte counts, device cost, re-dispatches and
+// the Degraded flag — a stream's running Stats, or a request's ledger of
+// failed attempts. Ratio, checksums and QueueWait describe one request
+// and are left alone.
+func (m *Metrics) add(o *Metrics) {
+	m.InBytes += o.InBytes
+	m.OutBytes += o.OutBytes
+	m.DeviceCycles += o.DeviceCycles
+	m.DeviceTime += o.DeviceTime
+	m.Faults += o.Faults
+	m.PasteRejects += o.PasteRejects
+	m.BackoffWaits += o.BackoffWaits
+	m.BackoffTime += o.BackoffTime
+	m.WastedCycles += o.WastedCycles
+	m.Redispatches += o.Redispatches
+	m.Degraded = m.Degraded || o.Degraded
+}
+
 // Accelerator is an open handle bound to one process context — since the
 // topology refactor, a *view over a node*: Open builds a one-device node
 // behind the scenes, and Node.View returns the same type over a
@@ -314,14 +332,8 @@ func (a *Accelerator) TrainTable(sample []byte) error {
 	return nil
 }
 
-func reportToMetrics(rep *nx.Report, csb *nx.CSB) *Metrics {
-	m := &Metrics{}
-	fillMetrics(m, rep, csb)
-	return m
-}
-
 // fillMetrics writes one request's accounting into a caller-owned
-// Metrics — the allocation-free core reportToMetrics wraps.
+// Metrics.
 func fillMetrics(m *Metrics, rep *nx.Report, csb *nx.CSB) {
 	*m = Metrics{}
 	if rep != nil {
@@ -343,76 +355,41 @@ func fillMetrics(m *Metrics, rep *nx.Report, csb *nx.CSB) {
 	}
 }
 
-// compress runs one compression request with the configured table mode,
-// on whichever device the node's dispatch policy picks, re-dispatching
-// device-local failures and falling back to the software encoder when
-// the pool is unhealthy.
-func (a *Accelerator) compress(src []byte, wrap nx.Wrap) ([]byte, *Metrics, error) {
-	return a.withFailover("compress",
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			return a.compressOn(ctx, src, wrap, req, hop)
-		},
-		func() ([]byte, *Metrics, error) { return a.softCompress(src, wrap) })
+// compress runs one copying compression request with the configured
+// table mode through nctx: the pooled core writes into pool-owned
+// scratch, the caller gets an exact-size copy (one allocation — the
+// result itself), and VA spans recycle through the context arena.
+func (a *Accelerator) compress(nctx *topology.Context, op string, src []byte, wrap nx.Wrap) ([]byte, *Metrics, error) {
+	os, m := getOneShot(), new(Metrics)
+	out, err := a.compressInto(nctx, op, os, os.buf[:0], src, wrap, m)
+	return copyOut(os, out, m, err)
 }
 
-// compressOn runs one compression request through an explicit context —
-// parallel workers drive their own send windows through this path. It
-// rides the pooled core: the engine writes into pool-owned scratch, the
-// caller gets an exact-size copy (one allocation — the result itself),
-// and VA spans recycle through the context arena.
-func (a *Accelerator) compressOn(ctx *nx.Context, src []byte, wrap nx.Wrap, req uint64, hop int) ([]byte, *Metrics, error) {
-	os := getOneShot()
-	m := &Metrics{}
-	out, err := a.compressInto(ctx, os, os.buf[:0], src, wrap, m, req, hop)
-	if err != nil {
-		putOneShot(os)
-		return nil, m, err
-	}
-	os.buf = out[:0] // keep the (possibly grown) backing pooled
-	res := make([]byte, len(out))
-	copy(res, out)
-	putOneShot(os)
-	return res, m, nil
-}
-
+// decompress is compress's inflate twin on the view's own context.
 func (a *Accelerator) decompress(src []byte, wrap nx.Wrap, maxOutput int) ([]byte, *Metrics, error) {
-	if maxOutput <= 0 {
-		maxOutput = 256 * len(src)
-		if maxOutput < 1<<20 {
-			maxOutput = 1 << 20
-		}
-	}
-	return a.withFailover("decompress",
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			return a.decompressOn(ctx, src, wrap, maxOutput, req, hop)
-		},
-		func() ([]byte, *Metrics, error) { return a.softDecompress(src, wrap, maxOutput) })
+	os, m := getOneShot(), new(Metrics)
+	out, err := a.decompressInto(a.nctx, "decompress", os, os.buf[:0], src, wrap, inflateBound(src, maxOutput), m)
+	return copyOut(os, out, m, err)
 }
 
-// decompressOn runs one decompression request through an explicit
-// (already dispatched) device context. Buffers must be mapped on the
-// same device the request runs on, so the pick happens before the
-// arena acquire. Like compressOn it rides the pooled core and returns
-// an exact-size copy of the plaintext.
-func (a *Accelerator) decompressOn(ctx *nx.Context, src []byte, wrap nx.Wrap, maxOutput int, req uint64, hop int) ([]byte, *Metrics, error) {
-	if maxOutput <= 0 {
-		maxOutput = 256 * len(src)
-		if maxOutput < 1<<20 {
-			maxOutput = 1 << 20
-		}
-	}
-	os := getOneShot()
-	m := &Metrics{}
-	out, err := a.decompressInto(ctx, os, os.buf[:0], src, wrap, maxOutput, m, req, hop)
+// copyOut hands the caller an exact-size copy of a result built in
+// os's scratch, keeping the (possibly grown) backing pooled.
+func copyOut(os *oneShot, out []byte, m *Metrics, err error) ([]byte, *Metrics, error) {
+	defer putOneShot(os)
 	if err != nil {
-		putOneShot(os)
 		return nil, m, err
 	}
 	os.buf = out[:0]
-	res := make([]byte, len(out))
-	copy(res, out)
-	putOneShot(os)
-	return res, m, nil
+	return append(make([]byte, 0, len(out)), out...), m, nil
+}
+
+// inflateBound is a decode's output bound: maxOutput when set, else a
+// size heuristic (256x the input, at least 1 MiB).
+func inflateBound(src []byte, maxOutput int) int {
+	if maxOutput > 0 {
+		return maxOutput
+	}
+	return max(256*len(src), 1<<20)
 }
 
 // memberCapInitial is the first output-buffer size decompressMemberOn
@@ -422,11 +399,36 @@ const (
 	memberCapGrowth  = 8
 )
 
-// decompressMemberOn inflates the first gzip member of src through ctx,
-// bounded by budget output bytes, returning the plaintext, the encoded
-// bytes consumed, and the request metrics. The engine decodes the member
-// exactly once and reports consumed bytes via the CSB's SPBC, so
-// multi-member streams advance without a separate boundary-finding pass.
+// decompressMember inflates the first gzip member of src through nctx
+// — the per-member request of Reader — bounded by budget output bytes,
+// returning the plaintext, the encoded bytes consumed, and metrics.
+func (a *Accelerator) decompressMember(nctx *topology.Context, src []byte, budget int) ([]byte, int, *Metrics, error) {
+	budget = max(budget, 1)
+	var consumed int
+	c := call{a: a, nctx: nctx, op: "member-decompress", need: deflateNeed}
+	out, m, err := c.runCopy(
+		func(ctx *nx.Context, m *Metrics, req uint64, hop int) (plain []byte, err error) {
+			plain, consumed, err = a.decompressMemberOn(ctx, src, budget, m, req, hop)
+			return plain, err
+		},
+		func(m *Metrics) ([]byte, error) {
+			start := time.Now()
+			plain, n, err := deflate.DecompressGzipTail(src, deflate.InflateOptions{MaxOutput: budget})
+			if err != nil {
+				return nil, softInflateErr(err, budget)
+			}
+			consumed = n
+			softMetrics(m, plain, n, len(plain), start)
+			return plain, nil
+		})
+	return out, consumed, m, err
+}
+
+// decompressMemberOn is one device attempt of decompressMember on ctx,
+// accumulating every submission's accounting into m. The engine decodes
+// the member exactly once and reports consumed bytes via the CSB's
+// SPBC, so multi-member streams advance without a separate
+// boundary-finding pass.
 //
 // The output buffer starts modest and grows on CCTargetSpace — the
 // resubmit loop the production NX library runs on CC=13. Mapping (and
@@ -434,24 +436,17 @@ const (
 // more pages than the member itself; this way the common member costs one
 // small mapping and a bomb is rejected after at most one buffer's worth
 // of decode per size step.
-func (a *Accelerator) decompressMemberOn(ctx *nx.Context, src []byte, budget int, req uint64, hop int) ([]byte, int, *Metrics, error) {
-	if budget < 1 {
-		budget = 1
-	}
+func (a *Accelerator) decompressMemberOn(ctx *nx.Context, src []byte, budget int, m *Metrics, req uint64, hop int) ([]byte, int, error) {
 	srcVA, err := ctx.AcquireVA(len(src))
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
 	defer ctx.ReleaseVA(srcVA)
-	capOut := memberCapInitial
-	if capOut > budget {
-		capOut = budget
-	}
-	total := &Metrics{}
+	capOut := min(memberCapInitial, budget)
 	for {
 		dstVA, err := ctx.AcquireVA(capOut)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		crb := &nx.CRB{
 			Func: nx.FCDecompress, Wrap: nx.WrapGzip, Input: src,
@@ -466,61 +461,44 @@ func (a *Accelerator) decompressMemberOn(ctx *nx.Context, src []byte, budget int
 		// every outgrown mapping for the life of the context.)
 		ctx.ReleaseVA(dstVA)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
-		m := reportToMetrics(rep, csb)
-		addMetricsInto(total, m)
+		var round Metrics
+		fillMetrics(&round, rep, csb)
+		m.add(&round)
 		switch {
 		case csb.CC == nx.CCTargetSpace && capOut < budget:
 			// Buffer too small, budget not exhausted: enlarge and resubmit.
-			capOut *= memberCapGrowth
-			if capOut > budget {
-				capOut = budget
-			}
+			capOut = min(capOut*memberCapGrowth, budget)
 		case csb.CC == nx.CCTargetSpace:
-			return nil, 0, total, fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", budget)
+			return nil, 0, fmt.Errorf("nxzip: decompressed stream exceeds %d bytes", budget)
 		case csb.CC != nx.CCSuccess:
-			return nil, 0, total, ccFail("decompress", csb)
+			return nil, 0, ccFail("decompress", csb)
 		default:
-			total.InBytes = csb.SPBC
-			total.OutBytes = csb.TPBC
-			total.Ratio = m.Ratio
-			total.CRC32 = csb.CRC32
-			total.Adler32 = csb.Adler32
-			return csb.Output, csb.SPBC, total, nil
+			m.InBytes = csb.SPBC
+			m.OutBytes = csb.TPBC
+			m.Ratio = round.Ratio
+			m.CRC32 = csb.CRC32
+			m.Adler32 = csb.Adler32
+			return csb.Output, csb.SPBC, nil
 		}
 	}
-}
-
-// addMetricsInto accumulates the device-cost fields of m into dst (byte
-// counts and checksums are set by the caller once the operation settles).
-func addMetricsInto(dst, m *Metrics) {
-	if m == nil {
-		return
-	}
-	dst.DeviceCycles += m.DeviceCycles
-	dst.DeviceTime += m.DeviceTime
-	dst.Faults += m.Faults
-	dst.PasteRejects += m.PasteRejects
-	dst.BackoffWaits += m.BackoffWaits
-	dst.BackoffTime += m.BackoffTime
-	dst.WastedCycles += m.WastedCycles
 }
 
 // CompressGzip compresses src into a gzip stream through the accelerator
 // model.
 func (a *Accelerator) CompressGzip(src []byte) ([]byte, *Metrics, error) {
-	return a.compress(src, nx.WrapGzip)
+	return a.compress(a.nctx, "compress", src, nx.WrapGzip)
 }
 
 // CompressZlib compresses src into a zlib stream.
 func (a *Accelerator) CompressZlib(src []byte) ([]byte, *Metrics, error) {
-	return a.compress(src, nx.WrapZlib)
+	return a.compress(a.nctx, "compress", src, nx.WrapZlib)
 }
 
 // CompressRaw compresses src into a bare DEFLATE stream.
 func (a *Accelerator) CompressRaw(src []byte) ([]byte, *Metrics, error) {
-	return a.compress(src, nx.WrapRaw)
+	return a.compress(a.nctx, "compress", src, nx.WrapRaw)
 }
 
 // DecompressGzip inflates a (single-member) gzip stream. maxOutput of 0
@@ -563,47 +541,30 @@ func (a *Accelerator) DecompressLZ4(src []byte, maxOutput int) ([]byte, *Metrics
 	return a.blockDecompressOp(nx.CodecLZ4, src, maxOutput)
 }
 
-// blockCompressOp runs any block codec (842, LZ4) through the
-// codec-routed failover path: dispatch considers only devices
+// blockCompressOp runs any block codec (842, LZ4) through the request
+// lifecycle with a codec requirement: dispatch considers only devices
 // advertising the codec, and when none is healthy — or the pool simply
 // has no such hardware — the matching software codec produces the
 // result with Metrics.Degraded set.
 func (a *Accelerator) blockCompressOp(codec nx.Codec, src []byte) ([]byte, *Metrics, error) {
-	return a.withFailoverCodec(codec.String()+"-compress", nx.Codecs(codec),
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			csb, rep, err := ctx.Submit(&nx.CRB{Func: codec.CompressFunc(), Input: src, ReqID: req, Hop: hop})
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail(codec.String(), csb)
-			}
-			return csb.Output, reportToMetrics(rep, csb), nil
+	c := call{a: a, nctx: a.nctx, op: codec.String() + "-compress", need: nx.Codecs(codec)}
+	return c.runCopy(
+		func(ctx *nx.Context, m *Metrics, req uint64, hop int) ([]byte, error) {
+			return submitCRB(ctx, &nx.CRB{Func: codec.CompressFunc(), Input: src, ReqID: req, Hop: hop}, codec.String(), m)
 		},
-		func() ([]byte, *Metrics, error) { return softBlockCompress(codec, src) })
+		func(m *Metrics) ([]byte, error) { return softBlockCompress(codec, src, m) })
 }
 
 // blockDecompressOp is blockCompressOp's decompression side.
 func (a *Accelerator) blockDecompressOp(codec nx.Codec, src []byte, maxOutput int) ([]byte, *Metrics, error) {
-	if maxOutput <= 0 {
-		maxOutput = 256 * len(src)
-		if maxOutput < 1<<20 {
-			maxOutput = 1 << 20
-		}
-	}
-	budget := maxOutput
-	return a.withFailoverCodec(codec.String()+"-decompress", nx.Codecs(codec),
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			csb, rep, err := ctx.Submit(&nx.CRB{Func: codec.DecompressFunc(), Input: src, MaxOutput: budget, TargetCap: budget, ReqID: req, Hop: hop})
-			if err != nil {
-				return nil, nil, err
-			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail(codec.String(), csb)
-			}
-			return csb.Output, reportToMetrics(rep, csb), nil
+	budget := inflateBound(src, maxOutput)
+	c := call{a: a, nctx: a.nctx, op: codec.String() + "-decompress", need: nx.Codecs(codec)}
+	return c.runCopy(
+		func(ctx *nx.Context, m *Metrics, req uint64, hop int) ([]byte, error) {
+			crb := &nx.CRB{Func: codec.DecompressFunc(), Input: src, MaxOutput: budget, TargetCap: budget, ReqID: req, Hop: hop}
+			return submitCRB(ctx, crb, codec.String(), m)
 		},
-		func() ([]byte, *Metrics, error) { return softBlockDecompress(codec, src, budget) })
+		func(m *Metrics) ([]byte, error) { return softBlockDecompress(codec, src, budget, m) })
 }
 
 // Context exposes the raw device context for advanced use (canned DHTs,
@@ -635,40 +596,27 @@ func GunzipMulti(src []byte) ([]byte, error) {
 // mechanism (the engine replays it through the LZ stage), and the wrapper
 // applies the FDICT framing with the dictionary's Adler-32.
 func (a *Accelerator) CompressZlibDict(src, dict []byte) ([]byte, *Metrics, error) {
-	return a.withFailover("dict-compress",
-		func(ctx *nx.Context, req uint64, hop int) ([]byte, *Metrics, error) {
-			crb := &nx.CRB{
-				Func:    a.funcCode(),
-				Wrap:    nx.WrapRaw,
-				Input:   src,
-				History: dict,
-				ReqID:   req,
-				Hop:     hop,
-			}
+	c := call{a: a, nctx: a.nctx, op: "dict-compress", need: deflateNeed}
+	return c.runCopy(
+		func(ctx *nx.Context, m *Metrics, req uint64, hop int) ([]byte, error) {
+			crb := &nx.CRB{Func: a.funcCode(), Wrap: nx.WrapRaw, Input: src, History: dict, ReqID: req, Hop: hop}
 			if crb.Func == nx.FCCompressCannedDHT {
 				crb.DHT = a.canned
 			}
-			csb, rep, err := ctx.Submit(crb)
+			body, err := submitCRB(ctx, crb, "dict compress", m)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if csb.CC != nx.CCSuccess {
-				return nil, reportToMetrics(rep, csb), ccFail("dict compress", csb)
-			}
-			return deflate.ZlibWrapDict(csb.Output, src, dict), reportToMetrics(rep, csb), nil
+			return deflate.ZlibWrapDict(body, src, dict), nil
 		},
-		func() ([]byte, *Metrics, error) {
+		func(m *Metrics) ([]byte, error) {
 			start := time.Now()
 			out, err := deflate.CompressZlibDict(src, dict, deflate.Options{Level: softLevel})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			m := softMetrics(src, len(src), len(out), start)
-			m.Ratio = 0
-			if len(out) > 0 {
-				m.Ratio = float64(len(src)) / float64(len(out))
-			}
-			return out, m, nil
+			softMetrics(m, src, len(src), len(out), start)
+			return out, nil
 		})
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"sync"
+
+	"nxzip/internal/nx"
 )
 
 // DefaultParallelWorkers is the worker count NewParallelWriter uses.
@@ -100,7 +102,7 @@ func (w *ParallelWriter) worker() {
 	nctx := w.acc.node.OpenContext(w.acc.nctx.PID())
 	defer nctx.Close()
 	for job := range w.jobs {
-		gz, m, err := w.acc.compressMember(nctx, job.data)
+		gz, m, err := w.acc.compress(nctx, "member-compress", job.data, nx.WrapGzip)
 		job.res <- pwRes{gz: gz, m: m, err: err}
 	}
 }
@@ -121,15 +123,7 @@ func (w *ParallelWriter) collect() {
 		if failed {
 			continue // keep draining so workers never block forever
 		}
-		w.Stats.InBytes += r.m.InBytes
-		w.Stats.OutBytes += r.m.OutBytes
-		w.Stats.DeviceCycles += r.m.DeviceCycles
-		w.Stats.DeviceTime += r.m.DeviceTime
-		w.Stats.Faults += r.m.Faults
-		w.Stats.Redispatches += r.m.Redispatches
-		if r.m.Degraded {
-			w.Stats.Degraded = true
-		}
+		w.Stats.add(r.m)
 		if _, err := w.out.Write(r.gz); err != nil {
 			w.mu.Lock()
 			if w.err == nil {

@@ -18,11 +18,9 @@ package nxzip
 
 import (
 	"sync"
-	"time"
 
-	"nxzip/internal/admission"
 	"nxzip/internal/nx"
-	"nxzip/internal/telemetry"
+	"nxzip/internal/topology"
 )
 
 // oneShot bundles one request's reusable blocks: the CRB/CSB/Report
@@ -49,14 +47,13 @@ func putOneShot(os *oneShot) {
 	oneShotPool.Put(os)
 }
 
-// compressInto runs one compression request through ctx using os's
-// pooled blocks and a caller-owned destination: the engine appends the
-// frame into dst[:0], growing the backing only when the frame outruns
-// cap(dst), and m receives the request accounting. VA spans come from
-// the context arena, so the steady state performs no MMU mapping work
-// and no allocation.
-func (a *Accelerator) compressInto(ctx *nx.Context, os *oneShot, dst, src []byte, wrap nx.Wrap, m *Metrics, req uint64, hop int) ([]byte, error) {
-	*m = Metrics{}
+// submitCompress is one device attempt of a pooled compression request
+// on ctx, using os's blocks and a caller-owned destination: the engine
+// appends the frame into dst[:0], growing the backing only when the
+// frame outruns cap(dst), and m receives the attempt's accounting. VA
+// spans come from the context arena, so the steady state performs no
+// MMU mapping work and no allocation.
+func (a *Accelerator) submitCompress(ctx *nx.Context, os *oneShot, dst, src []byte, wrap nx.Wrap, m *Metrics, req uint64, hop int) ([]byte, error) {
 	srcVA, err := ctx.AcquireVA(len(src))
 	if err != nil {
 		return nil, err
@@ -87,11 +84,10 @@ func (a *Accelerator) compressInto(ctx *nx.Context, os *oneShot, dst, src []byte
 	return os.csb.Output, nil
 }
 
-// decompressInto is compressInto's inflate twin: the decoded plaintext
-// is appended into dst[:0] (via the inflater's destination threading),
-// bounded by maxOutput.
-func (a *Accelerator) decompressInto(ctx *nx.Context, os *oneShot, dst, src []byte, wrap nx.Wrap, maxOutput int, m *Metrics, req uint64, hop int) ([]byte, error) {
-	*m = Metrics{}
+// submitDecompress is submitCompress's inflate twin: the decoded
+// plaintext is appended into dst[:0] (via the inflater's destination
+// threading), bounded by maxOutput.
+func (a *Accelerator) submitDecompress(ctx *nx.Context, os *oneShot, dst, src []byte, wrap nx.Wrap, maxOutput int, m *Metrics, req uint64, hop int) ([]byte, error) {
 	srcVA, err := ctx.AcquireVA(len(src))
 	if err != nil {
 		return nil, err
@@ -118,6 +114,46 @@ func (a *Accelerator) decompressInto(ctx *nx.Context, os *oneShot, dst, src []by
 	return os.csb.Output, nil
 }
 
+// compressInto is one pooled compression request through nctx: the
+// request lifecycle over submitCompress, with the software encoder's
+// frame copied into dst[:0] when no device can serve it.
+func (a *Accelerator) compressInto(nctx *topology.Context, op string, os *oneShot, dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
+	var out []byte
+	c := call{a: a, nctx: nctx, op: op, need: deflateNeed}
+	err := c.run(m,
+		func(ctx *nx.Context, req uint64, hop int) (err error) {
+			out, err = a.submitCompress(ctx, os, dst, src, wrap, m, req, hop)
+			return err
+		},
+		func() error {
+			soft, err := a.softCompress(src, wrap, m)
+			if err == nil {
+				out = append(dst[:0], soft...)
+			}
+			return err
+		})
+	return out, err
+}
+
+// decompressInto is compressInto's inflate twin, bounded by maxOutput.
+func (a *Accelerator) decompressInto(nctx *topology.Context, op string, os *oneShot, dst, src []byte, wrap nx.Wrap, maxOutput int, m *Metrics) ([]byte, error) {
+	var out []byte
+	c := call{a: a, nctx: nctx, op: op, need: deflateNeed}
+	err := c.run(m,
+		func(ctx *nx.Context, req uint64, hop int) (err error) {
+			out, err = a.submitDecompress(ctx, os, dst, src, wrap, maxOutput, m, req, hop)
+			return err
+		},
+		func() error {
+			soft, err := a.softDecompress(src, wrap, maxOutput, m)
+			if err == nil {
+				out = append(dst[:0], soft...)
+			}
+			return err
+		})
+	return out, err
+}
+
 // CompressGzipInto compresses src into a gzip stream appended to
 // dst[:0], returning the frame. The result aliases dst unless the frame
 // outran cap(dst), in which case it is backed by a grown replacement —
@@ -127,12 +163,12 @@ func (a *Accelerator) decompressInto(ctx *nx.Context, os *oneShot, dst, src []by
 // table and therefore allocates; the software-fallback and re-dispatch
 // error paths allocate freely). A nil m discards the accounting.
 func (a *Accelerator) CompressGzipInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.compressIntoDispatch(dst, src, nx.WrapGzip, m)
+	return a.compressIntoPooled(dst, src, nx.WrapGzip, m)
 }
 
 // CompressZlibInto is CompressGzipInto with zlib framing.
 func (a *Accelerator) CompressZlibInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.compressIntoDispatch(dst, src, nx.WrapZlib, m)
+	return a.compressIntoPooled(dst, src, nx.WrapZlib, m)
 }
 
 // DecompressGzipInto inflates a (single-member) gzip stream into
@@ -141,194 +177,30 @@ func (a *Accelerator) CompressZlibInto(dst, src []byte, m *Metrics) ([]byte, err
 // cap(dst); pass an adequately sized dst both for the bound you want
 // and for the zero-allocation steady state.
 func (a *Accelerator) DecompressGzipInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.decompressIntoDispatch(dst, src, nx.WrapGzip, m)
+	return a.decompressIntoPooled(dst, src, nx.WrapGzip, m)
 }
 
 // DecompressZlibInto is DecompressGzipInto for zlib streams.
 func (a *Accelerator) DecompressZlibInto(dst, src []byte, m *Metrics) ([]byte, error) {
-	return a.decompressIntoDispatch(dst, src, nx.WrapZlib, m)
+	return a.decompressIntoPooled(dst, src, nx.WrapZlib, m)
 }
 
-// compressIntoDispatch is the Into-path dispatch loop: the same
-// re-dispatch + software-fallback policy as failoverOn, written without
-// closures (closures escape their captures to the heap, which would put
-// two allocations on every call of the zero-alloc path).
-func (a *Accelerator) compressIntoDispatch(dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
+func (a *Accelerator) compressIntoPooled(dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
 	var scratch Metrics
 	if m == nil {
 		m = &scratch
 	}
-	rec := a.recorder()
-	req := nextReq()
-	start := time.Now()
-	// Overload gate, same contract as failoverOn: a shed fails the
-	// request before any device work; a brownout degrade skips the device
-	// loop and runs the software path. With admission off the ticket is
-	// nil and this is one atomic load (the zero-alloc guarantee holds);
-	// with it on, the gate costs one small ticket allocation.
-	ticket, dec, aerr := a.admitOp(time.Time{}, nil)
-	if aerr != nil {
-		a.completeDigest(rec, req, "compress", "deflate", "admission", m, start, 0, telemetry.OutcomeShed)
-		if rec != nil {
-			aerr = reqError(req, aerr)
-		}
-		return nil, aerr
-	}
-	defer ticket.Release()
 	os := getOneShot()
-	var (
-		wastedCycles int64
-		wastedTime   time.Duration
-		wastedFaults int
-		redispatches int
-	)
-	attempts := a.nctx.Size() + 1
-	if dec == admission.DecisionDegrade {
-		attempts = 0 // brownout: straight to software
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		i, perr := a.nctx.PickIndexAvail()
-		if perr != nil {
-			break // pool unhealthy: straight to software
-		}
-		a.nctx.AcquireIndex(i)
-		out, err := a.compressInto(a.nctx.At(i), os, dst, src, wrap, m, req, attempt)
-		a.nctx.ReleaseIndexReq(i, err, req)
-		if err == nil {
-			m.Redispatches = attempt
-			m.DeviceCycles += wastedCycles
-			m.DeviceTime += wastedTime
-			m.Faults += wastedFaults
-			if attempt > 0 {
-				a.met.redispatches.Add(int64(attempt))
-			}
-			putOneShot(os)
-			a.completeDigest(rec, req, "compress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeOK)
-			return out, nil
-		}
-		wastedCycles += m.DeviceCycles
-		wastedTime += m.DeviceTime
-		wastedFaults += m.Faults
-		if !failoverEligible(err) {
-			putOneShot(os)
-			a.completeDigest(rec, req, "compress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeError)
-			if rec != nil {
-				err = reqError(req, err)
-			}
-			return nil, err
-		}
-		redispatches = attempt + 1
-	}
-	putOneShot(os)
-	if redispatches > 0 {
-		a.met.redispatches.Add(int64(redispatches))
-	}
-	out, sm, err := a.softCompress(src, wrap)
-	if err != nil {
-		a.completeDigest(rec, req, "compress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeError)
-		if rec != nil {
-			err = reqError(req, err)
-		}
-		return nil, err
-	}
-	a.met.fallback(nx.Codecs(nx.CodecDeflate))
-	*m = *sm
-	m.Redispatches = redispatches
-	m.DeviceCycles += wastedCycles
-	m.DeviceTime += wastedTime
-	m.Faults += wastedFaults
-	a.completeDigest(rec, req, "compress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeDegraded)
-	return append(dst[:0], out...), nil
+	defer putOneShot(os)
+	return a.compressInto(a.nctx, "compress", os, dst, src, wrap, m)
 }
 
-// decompressIntoDispatch mirrors compressIntoDispatch for inflate.
-func (a *Accelerator) decompressIntoDispatch(dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
+func (a *Accelerator) decompressIntoPooled(dst, src []byte, wrap nx.Wrap, m *Metrics) ([]byte, error) {
 	var scratch Metrics
 	if m == nil {
 		m = &scratch
 	}
-	maxOutput := 256 * len(src)
-	if maxOutput < 1<<20 {
-		maxOutput = 1 << 20
-	}
-	if c := cap(dst); c > maxOutput {
-		maxOutput = c
-	}
-	rec := a.recorder()
-	req := nextReq()
-	start := time.Now()
-	// Overload gate, mirroring compressIntoDispatch.
-	ticket, dec, aerr := a.admitOp(time.Time{}, nil)
-	if aerr != nil {
-		a.completeDigest(rec, req, "decompress", "deflate", "admission", m, start, 0, telemetry.OutcomeShed)
-		if rec != nil {
-			aerr = reqError(req, aerr)
-		}
-		return nil, aerr
-	}
-	defer ticket.Release()
 	os := getOneShot()
-	var (
-		wastedCycles int64
-		wastedTime   time.Duration
-		wastedFaults int
-		redispatches int
-	)
-	attempts := a.nctx.Size() + 1
-	if dec == admission.DecisionDegrade {
-		attempts = 0
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		i, perr := a.nctx.PickIndexAvail()
-		if perr != nil {
-			break
-		}
-		a.nctx.AcquireIndex(i)
-		out, err := a.decompressInto(a.nctx.At(i), os, dst, src, wrap, maxOutput, m, req, attempt)
-		a.nctx.ReleaseIndexReq(i, err, req)
-		if err == nil {
-			m.Redispatches = attempt
-			m.DeviceCycles += wastedCycles
-			m.DeviceTime += wastedTime
-			m.Faults += wastedFaults
-			if attempt > 0 {
-				a.met.redispatches.Add(int64(attempt))
-			}
-			putOneShot(os)
-			a.completeDigest(rec, req, "decompress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeOK)
-			return out, nil
-		}
-		wastedCycles += m.DeviceCycles
-		wastedTime += m.DeviceTime
-		wastedFaults += m.Faults
-		if !failoverEligible(err) {
-			putOneShot(os)
-			a.completeDigest(rec, req, "decompress", "deflate", a.node.Label(i), m, start, attempt+1, telemetry.OutcomeError)
-			if rec != nil {
-				err = reqError(req, err)
-			}
-			return nil, err
-		}
-		redispatches = attempt + 1
-	}
-	putOneShot(os)
-	if redispatches > 0 {
-		a.met.redispatches.Add(int64(redispatches))
-	}
-	out, sm, err := a.softDecompress(src, wrap, maxOutput)
-	if err != nil {
-		a.completeDigest(rec, req, "decompress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeError)
-		if rec != nil {
-			err = reqError(req, err)
-		}
-		return nil, err
-	}
-	a.met.fallback(nx.Codecs(nx.CodecDeflate))
-	*m = *sm
-	m.Redispatches = redispatches
-	m.DeviceCycles += wastedCycles
-	m.DeviceTime += wastedTime
-	m.Faults += wastedFaults
-	a.completeDigest(rec, req, "decompress", "deflate", "software", m, start, max(redispatches, 1), telemetry.OutcomeDegraded)
-	return append(dst[:0], out...), nil
+	defer putOneShot(os)
+	return a.decompressInto(a.nctx, "decompress", os, dst, src, wrap, max(inflateBound(src, 0), cap(dst)), m)
 }

@@ -186,7 +186,7 @@ func TestMemberGrowLoopMappingsBounded(t *testing.T) {
 	}
 	budget := len(src) + 1024
 	decode := func() {
-		plain, consumed, _, err := acc.decompressMemberOn(acc.ctx, gz, budget, 0, 0)
+		plain, consumed, err := acc.decompressMemberOn(acc.ctx, gz, budget, new(Metrics), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

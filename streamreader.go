@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"nxzip/internal/checksum"
 	"nxzip/internal/deflate"
@@ -19,10 +20,11 @@ import (
 // StreamWriter.
 //
 // The requests of one stream share the engine's suspend/resume state, so
-// on a multi-device node the reader pins to one device at construction.
+// on a multi-device node the reader pins to one device at construction;
+// each request is still admitted, digested and counted on its own.
 type StreamReader struct {
 	acc    *Accelerator
-	ctx    *nx.Context // pinned device context (resume state stays put)
+	dev    int // pinned device (resume state stays put); -1 until placed
 	src    io.Reader
 	state  *nx.DecompState
 	inbuf  []byte
@@ -48,7 +50,7 @@ const DefaultReadChunk = 256 << 10
 func (a *Accelerator) NewStreamReader(src io.Reader, maxOutput int) *StreamReader {
 	return &StreamReader{
 		acc:   a,
-		ctx:   a.nctx.PickSticky(),
+		dev:   a.stickyPin(),
 		src:   src,
 		state: nx.NewDecompState(maxOutput),
 		inbuf: make([]byte, 0, DefaultReadChunk),
@@ -120,7 +122,6 @@ func (r *StreamReader) fill() error {
 	r.outPos = 0
 	r.crc.Update(out)
 	r.isize += uint32(len(out))
-	r.Stats.OutBytes += len(out)
 
 	if r.state.Done() {
 		if err := r.finishTrailer(); err != nil {
@@ -132,62 +133,42 @@ func (r *StreamReader) fill() error {
 	return nil
 }
 
-// submitResume runs one resume request on the pinned device. Only
-// pre-engine failures (nx.Retryable) may migrate the pin to another
+// submitResume runs one resume request — admitted, digested and counted
+// in the view's tenant series like any one-shot — on the pinned device.
+// Only pre-engine failures (nx.Retryable) may migrate the pin to another
 // device: once the engine has fed the session, the resume state has
 // advanced and a replay would double-feed the chunk, so data-plane
 // errors surface directly. When no healthy device remains, the session's
 // own software inflater finishes the chunk — the resume state is the
 // same object either way.
 func (r *StreamReader) submitResume(chunk []byte) ([]byte, error) {
-	attempts := r.acc.nctx.Size() + 1
-	redispatched := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		csb, rep, err := r.ctx.Submit(&nx.CRB{
-			Func: nx.FCDecompress, Wrap: nx.WrapRaw, Input: chunk,
-			DecompState: r.state, NotFinal: !r.srcExhaust,
-		})
-		if err == nil && csb.CC != nx.CCSuccess {
-			err = ccFail("stream decompress", csb)
-		}
-		r.acc.nctx.ReportFor(r.ctx, err)
-		if err == nil {
-			r.Stats.InBytes += rep.InBytes
-			r.Stats.DeviceCycles += rep.TotalCycles
-			r.Stats.DeviceTime += rep.Time
-			r.Stats.Faults += rep.Retries
-			if attempt > 0 {
-				r.Stats.Redispatches += attempt
-				r.acc.met.redispatches.Add(int64(attempt))
+	var (
+		out []byte
+		m   Metrics
+	)
+	c := call{a: r.acc, nctx: r.acc.nctx, op: "stream-decompress", need: deflateNeed,
+		sticky: true, resumable: true, dev: r.dev}
+	err := c.run(&m,
+		func(ctx *nx.Context, req uint64, hop int) (err error) {
+			crb := &nx.CRB{
+				Func: nx.FCDecompress, Wrap: nx.WrapRaw, Input: chunk,
+				DecompState: r.state, NotFinal: !r.srcExhaust, ReqID: req, Hop: hop,
 			}
-			return csb.Output, nil
-		}
-		if rep != nil {
-			r.Stats.DeviceCycles += rep.TotalCycles
-			r.Stats.DeviceTime += rep.Time
-			r.Stats.Faults += rep.Retries
-		}
-		if !nx.Retryable(err) {
-			return nil, err
-		}
-		redispatched = attempt + 1
-		next, perr := r.acc.nctx.PickStickyAvoid(r.ctx)
-		if perr != nil {
-			break
-		}
-		r.ctx = next
-	}
-	if redispatched > 0 {
-		r.Stats.Redispatches += redispatched
-		r.acc.met.redispatches.Add(int64(redispatched))
-	}
-	out, err := r.state.SoftFeed(chunk, r.srcExhaust)
+			out, err = submitCRB(ctx, crb, "stream decompress", &m)
+			return err
+		},
+		func() (err error) {
+			start := time.Now()
+			out, err = r.state.SoftFeed(chunk, r.srcExhaust)
+			softMetrics(&m, out, len(chunk), len(out), start)
+			return err
+		})
+	r.dev = c.dev
 	if err != nil {
 		return nil, err
 	}
-	r.acc.met.fallback(nx.Codecs(nx.CodecDeflate))
-	r.Stats.Degraded = true
-	r.Stats.InBytes += len(chunk)
+	m.OutBytes = len(out)
+	r.Stats.add(&m)
 	return out, nil
 }
 

@@ -20,10 +20,11 @@ import (
 //
 // A stream's segments share the history window, so on a multi-device
 // node the writer pins to one device at construction (a sticky pick)
-// instead of dispatching per segment.
+// instead of spreading its segments; each segment is still a request of
+// its own at the admission gate, in the digest and in the tenant series.
 type StreamWriter struct {
 	acc     *Accelerator
-	ctx     *nx.Context // pinned device context (history stays put)
+	dev     int // pinned device (history stays put); -1 until placed
 	out     io.Writer
 	chunk   int
 	buf     []byte
@@ -49,7 +50,17 @@ func (a *Accelerator) NewStreamWriterChunk(out io.Writer, chunk int) *StreamWrit
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	return &StreamWriter{acc: a, ctx: a.nctx.PickSticky(), out: out, chunk: chunk}
+	return &StreamWriter{acc: a, dev: a.stickyPin(), out: out, chunk: chunk}
+}
+
+// stickyPin places a new stream on the policy's admissible device, or
+// leaves it for the first request to place (-1) when none is.
+func (a *Accelerator) stickyPin() int {
+	i, err := a.nctx.PickSticky(deflateNeed, -1, false)
+	if err != nil {
+		return -1
+	}
+	return i
 }
 
 var gzipStreamHeader = []byte{0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255}
@@ -115,7 +126,8 @@ func (w *StreamWriter) submit(chunk []byte, final bool) error {
 	if err := w.start(); err != nil {
 		return err
 	}
-	body, m, err := w.submitSegment(chunk, final)
+	var m Metrics
+	body, err := w.segment(chunk, final, &m)
 	if err != nil {
 		w.err = err
 		return err
@@ -126,19 +138,8 @@ func (w *StreamWriter) submit(chunk []byte, final bool) error {
 	}
 	w.crc.Update(chunk)
 	w.isize += uint32(len(chunk))
-	w.Stats.InBytes += len(chunk)
-	w.Stats.OutBytes += len(body)
-	w.Stats.DeviceCycles += m.DeviceCycles
-	w.Stats.DeviceTime += m.DeviceTime
-	w.Stats.Faults += m.Faults
-	w.Stats.PasteRejects += m.PasteRejects
-	w.Stats.BackoffWaits += m.BackoffWaits
-	w.Stats.BackoffTime += m.BackoffTime
-	w.Stats.WastedCycles += m.WastedCycles
-	w.Stats.Redispatches += m.Redispatches
-	if m.Degraded {
-		w.Stats.Degraded = true
-	}
+	m.InBytes, m.OutBytes = len(chunk), len(body)
+	w.Stats.add(&m)
 	w.acc.met.streamSegments.Inc()
 
 	// Maintain the history window: the last 32 KiB of the logical stream.
@@ -146,71 +147,33 @@ func (w *StreamWriter) submit(chunk []byte, final bool) error {
 	return nil
 }
 
-// submitSegment runs one segment on the pinned device, migrating the pin
-// to another healthy device on device-local failure — the history window
-// rides the CRB, so any device can continue the stream — and falling
-// back to the software segment encoder when no healthy device remains.
-func (w *StreamWriter) submitSegment(chunk []byte, final bool) ([]byte, *Metrics, error) {
-	// Proactive drain migration: a draining device stops admitting but
-	// a pinned stream would otherwise keep submitting to it. The history
-	// window travels in the CRB, so re-pin before this segment — the
-	// stream continues byte-identically elsewhere and the draining
-	// device quiesces without waiting out the stream.
-	if i := w.acc.nctx.IndexOf(w.ctx); i >= 0 && w.acc.node.Draining(i) {
-		if next, perr := w.acc.nctx.PickStickyAvoid(w.ctx); perr == nil {
-			w.ctx = next
-		}
-	}
-	wasted := &Metrics{}
-	attempts := w.acc.nctx.Size() + 1
-	for attempt := 0; attempt < attempts; attempt++ {
-		crb := &nx.CRB{
-			Func:     w.acc.funcCode(),
-			Wrap:     nx.WrapRaw,
-			Input:    chunk,
-			History:  w.history,
-			NotFinal: !final,
-		}
-		if crb.Func == nx.FCCompressCannedDHT {
-			crb.DHT = w.acc.canned
-		}
-		csb, rep, err := w.ctx.Submit(crb)
-		if err == nil && csb.CC != nx.CCSuccess {
-			err = ccFail("stream segment", csb)
-		}
-		w.acc.nctx.ReportFor(w.ctx, err)
-		if err == nil {
-			m := reportToMetrics(rep, csb)
-			m.Redispatches = attempt
-			addMetricsInto(m, wasted)
-			if attempt > 0 {
-				w.acc.met.redispatches.Add(int64(attempt))
+// segment runs one segment as a request of its own — admitted, digested
+// and counted in the view's tenant series like any one-shot — on the
+// pinned device. The pin migrates when its device drains or fails the
+// segment (the history window rides the CRB, so any device can continue
+// the stream), and the software segment encoder takes over when no
+// healthy device remains.
+func (w *StreamWriter) segment(chunk []byte, final bool, m *Metrics) ([]byte, error) {
+	var body []byte
+	c := call{a: w.acc, nctx: w.acc.nctx, op: "stream-compress", need: deflateNeed, sticky: true, dev: w.dev}
+	err := c.run(m,
+		func(ctx *nx.Context, req uint64, hop int) (err error) {
+			crb := &nx.CRB{
+				Func: w.acc.funcCode(), Wrap: nx.WrapRaw, Input: chunk,
+				History: w.history, NotFinal: !final, ReqID: req, Hop: hop,
 			}
-			return csb.Output, m, nil
-		}
-		addMetricsInto(wasted, reportToMetrics(rep, csb))
-		if !failoverEligible(err) {
-			return nil, wasted, err
-		}
-		wasted.Redispatches = attempt + 1
-		next, perr := w.acc.nctx.PickStickyAvoid(w.ctx)
-		if perr != nil {
-			break
-		}
-		w.ctx = next
-	}
-	if wasted.Redispatches > 0 {
-		w.acc.met.redispatches.Add(int64(wasted.Redispatches))
-	}
-	body, m, err := w.acc.softSegment(w.history, chunk, final)
-	if err != nil {
-		return nil, wasted, err
-	}
-	w.acc.met.fallback(nx.Codecs(nx.CodecDeflate))
-	m.Degraded = true
-	m.Redispatches = wasted.Redispatches
-	addMetricsInto(m, wasted)
-	return body, m, nil
+			if crb.Func == nx.FCCompressCannedDHT {
+				crb.DHT = w.acc.canned
+			}
+			body, err = submitCRB(ctx, crb, "stream segment", m)
+			return err
+		},
+		func() (err error) {
+			body, err = w.acc.softSegment(w.history, chunk, final, m)
+			return err
+		})
+	w.dev = c.dev
+	return body, err
 }
 
 func appendWindow(window, chunk []byte) []byte {
