@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-json fuzz-smoke nxbench parallel trace-demo obs-demo flightrec-demo drain-demo tenants-demo
+.PHONY: check build vet fmt-check test race chaos bench bench-alloc bench-json fuzz-smoke perfbench-check nxbench parallel trace-demo obs-demo flightrec-demo drain-demo tenants-demo
 
 ## check: the tier-1 gate — build, vet, gofmt, the full test suite under
 ## the race detector, the fault-injection chaos suite, the zero-alloc
-## hot-path gate, the parser/decoder fuzz smoke, and the observability +
+## hot-path gate, the parser/decoder fuzz smoke, the host-speed
+## benchmark's own build and tests, and the observability +
 ## flight-recorder + graceful-drain + tenant-accounting self-checks. CI
 ## and pre-merge runs use this target.
-check: build vet fmt-check race chaos bench-alloc fuzz-smoke obs-demo flightrec-demo drain-demo tenants-demo
+check: build vet fmt-check race chaos bench-alloc fuzz-smoke perfbench-check obs-demo flightrec-demo drain-demo tenants-demo
 
 build:
 	$(GO) build ./...
@@ -82,6 +83,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFormat -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 30s ./internal/admission
 	$(GO) test -run '^$$' -fuzz FuzzPromRoundTrip -fuzztime 30s ./internal/obs
+
+## perfbench-check: perfbench/ is a Go module of its own, so the
+## repository-wide build and vet never compile it; vet and test it here
+## so an internal API change cannot break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 ## obs-demo: observability self-check — run a workload behind an
 ## ephemeral exposition server, scrape /metrics, verify the Prometheus

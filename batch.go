@@ -41,8 +41,9 @@ type BatchRequest struct {
 	Out []byte
 	// Metrics receives the request accounting. The first request of each
 	// device's group additionally carries the group-level paste
-	// accounting (PasteRejects/BackoffWaits/BackoffTime) — there is one
-	// paste per device per dispatch wave, not one per request. (A clean
+	// accounting (PasteRejects/BackoffWaits/BackoffTime, and the backoff
+	// as WastedCycles) — there is one paste per device per dispatch wave,
+	// not one per request. (A clean
 	// batch without admission is a single wave; with admission enabled a
 	// batch larger than the gate's in-flight ceiling dispatches in waves
 	// of at most that many requests, and requests whose device failed

@@ -2,11 +2,10 @@ package nx
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
+	"nxzip/internal/nmmu"
 	"nxzip/internal/telemetry"
-	"nxzip/internal/vas"
 )
 
 // Batched small-request submission.
@@ -37,284 +36,131 @@ type BatchEntry struct {
 	span *telemetry.Span
 }
 
+// errNoLiveEntry ends a batch submission whose entries all tripped their
+// gates before the envelope was pasted: there is nothing left to carry.
+var errNoLiveEntry = errors.New("nx: no live batch entry")
+
 // SubmitBatch pastes the whole batch as one switchboard envelope — one
 // paste, one credit, one FIFO round for len(entries) requests — and
-// waits for the dequeuer to run every entry. Entries that complete with
-// CCTranslationFault are touched and resubmitted individually through
-// the full single-request protocol; their Err fields carry any terminal
-// submission failure. Per-entry Deadline/Cancel gates are honored at
-// the same boundaries as single submission: entries whose gate has
-// tripped before the paste (or while the envelope waits out paste
-// backoff) complete with ErrDeadlineExceeded/ErrCanceled and never
-// reach an engine; once the envelope is pasted the batch runs as one
-// unit, and only the fault-straggler resubmission path re-checks. An
-// injected engine hang drops the whole batch (ErrEngineHang), mirroring
-// a wedged descriptor ring.
+// waits for the dequeuer to run every entry. Per-entry Deadline/Cancel
+// gates are checked before the paste and after every paste bounce:
+// entries whose gate tripped complete with ErrDeadlineExceeded or
+// ErrCanceled and never reach an engine; once the envelope is pasted
+// the batch runs as one unit. An entry that completes with
+// CCTranslationFault is a straggler: its page is touched and it
+// resubmits alone through the single-request protocol, its batch round
+// counting toward the fault budget, and its Err carries any terminal
+// submission failure. The envelope's paste bounces and backoff waits
+// are charged to the first entry that completed in it. An injected
+// engine hang drops the whole batch (ErrEngineHang), mirroring a wedged
+// descriptor ring.
 func (c *Context) SubmitBatch(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	d := c.dev
-	pol := d.cfg.Submit
-	if d.Offline() {
-		d.met.offlineRejects.Inc()
-		return ErrDeviceOffline
-	}
-	p := getPending()
-	defer putPending(p)
-	p.batch = entries
-	p.submitStart = time.Now()
 	tr := d.tracer.Load()
-	if tr != nil {
+	for i := range entries {
+		entries[i].span = c.startSpan(tr, &entries[i].CRB, false)
+	}
+	// finishSpans closes every still-open entry span, stamping label.
+	finishSpans := func(label string) {
 		for i := range entries {
-			en := &entries[i]
-			sp := tr.Start(en.CRB.Func.String(), int(c.pid), c.window)
-			sp.ReqID = en.CRB.ReqID
-			sp.Hop = en.CRB.Hop
-			sp.Tenant = c.tenant
-			sp.Priority = c.priorityName()
-			en.span = sp
+			finishSpan(tr, entries[i].span, label)
+			entries[i].span = nil
 		}
 	}
-	// expireEntries fails entries whose liveness gates tripped and
-	// reports how many are still live. Run before the paste and after
-	// each backoff sleep — the points where the envelope is still ours.
-	expireEntries := func() (live int) {
-		now := time.Now()
+	// live fails the entries whose gates tripped; the envelope itself
+	// dies with the device, or when no entry is left to carry.
+	live := func() (string, error) {
+		n := 0
 		for i := range entries {
 			en := &entries[i]
 			if en.Err != nil {
 				continue
 			}
-			if en.CRB.Cancel != nil {
-				select {
-				case <-en.CRB.Cancel:
-					en.Err = ErrCanceled
-					if en.span != nil {
-						en.span.CC = "canceled"
-						tr.Finish(en.span)
-						en.span = nil
-					}
-					continue
-				default:
-				}
-			}
-			if !en.CRB.Deadline.IsZero() && now.After(en.CRB.Deadline) {
-				d.met.deadlineFails.Inc()
-				en.Err = fmt.Errorf("%w (expired before batch dispatch)", ErrDeadlineExceeded)
-				if en.span != nil {
-					en.span.CC = "deadline"
-					tr.Finish(en.span)
-					en.span = nil
-				}
+			var label string
+			if label, en.Err = d.expired(&en.CRB); en.Err != nil {
+				finishSpan(tr, en.span, label)
+				en.span = nil
 				continue
 			}
-			live++
+			n++
 		}
-		return live
+		if n == 0 {
+			return "", errNoLiveEntry
+		}
+		return d.offline()
 	}
-	if expireEntries() == 0 {
+	p := getPending()
+	defer d.release(p)
+	p.batch = entries
+	label, err := live()
+	if err == nil {
+		if label, err = c.paste(p, live); err == nil {
+			label, err = c.await(p)
+		}
+	}
+	if err == errNoLiveEntry {
 		return nil
 	}
-	// finishSpans closes every still-open entry span; cc overrides the
-	// completion label for envelope-level failures (the dequeuer stamps
-	// per-entry CCs on success).
-	finishSpans := func(cc string) {
-		if tr == nil {
-			return
-		}
-		for i := range entries {
-			en := &entries[i]
-			if en.span == nil {
-				continue
-			}
-			if cc != "" {
-				en.span.CC = cc
-			}
-			tr.Finish(en.span)
-			en.span = nil
-		}
+	if err != nil {
+		finishSpans(label)
+		return err
 	}
-	wrapped := &p.wrapped
-	var (
-		rejects     int
-		waits       int
-		backoffTime time.Duration
-	)
-	backoff := pol.BackoffBase
-	pasted := false
-	for try := 0; try < pol.MaxPasteAttempts && waits < pol.MaxBackoffWaits; try++ {
-		p.pastedAt = time.Now()
-		err := d.sb.Paste(c.window, wrapped)
-		if err == nil {
-			pasted = true
-			break
-		}
-		if errors.Is(err, vas.ErrWindowClosed) {
-			finishSpans("window-closed")
-			return err
-		}
-		rejects++
-		if d.Offline() {
-			d.met.offlineRejects.Inc()
-			finishSpans("device-offline")
-			return ErrDeviceOffline
-		}
-		if pending := d.sb.Dequeue(); pending != nil {
-			c.runOne(pending)
-			continue
-		}
-		sleep := jitter(backoff)
-		time.Sleep(sleep)
-		waits++
-		backoffTime += sleep
-		d.met.backoffWaits.Inc()
-		if backoff *= 2; backoff > pol.BackoffMax {
-			backoff = pol.BackoffMax
-		}
-		if expireEntries() == 0 {
-			// Every entry's gate tripped while we backed off; the
-			// envelope has nothing left to carry.
-			if backoffTime > 0 {
-				d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-			}
-			return nil
-		}
-	}
-	if backoffTime > 0 {
-		d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-	}
-	if !pasted {
-		finishSpans("device-busy")
-		return fmt.Errorf("%w (batch of %d: %d rejects, %d backoff waits)", ErrDeviceBusy, len(entries), rejects, waits)
-	}
-	// Drain until our batch completes, running whatever we dequeue —
-	// the same submitter-as-engine-driver protocol as SubmitInto.
-	waiting := true
-	for waiting {
-		select {
-		case <-p.done:
-			waiting = false
-		default:
-			if pending := d.sb.Dequeue(); pending != nil {
-				c.runOne(pending)
-				continue
-			}
-			<-p.done
-			waiting = false
-		}
-	}
-	if !p.ran {
-		finishSpans("engine-hang")
-		return fmt.Errorf("%w (batch of %d)", ErrEngineHang, len(entries))
-	}
-	pasteAccounted := false
+	charged := false
 	for i := range entries {
 		en := &entries[i]
-		if en.Err != nil {
-			// Expired/canceled before the paste: never ran, CSB is zero.
-			continue
-		}
-		if en.CSB.CC == CCTranslationFault {
-			// Touch-and-resubmit, per entry: the rest of the batch is
-			// done, so the straggler goes back through the single-request
-			// protocol (which touches again on repeat faults). The entry's
-			// batch span closes on the fault; the resubmission emits its
-			// own span under the same ReqID.
-			if en.span != nil {
-				tr.Finish(en.span)
-				en.span = nil
-			}
-			wasted := en.CSB.Cycles.Total
-			d.met.faultRetries.Inc()
-			if terr := d.mmu.Touch(c.pid, en.CSB.FaultVA); terr != nil {
-				en.Err = fmt.Errorf("nx: fault handler: %w", terr)
-				continue
-			}
-			// The straggler resubmits alone: full setup/complete again.
-			en.CRB.Chained = false
-			en.CRB.ChainedComplete = false
-			en.Err = c.SubmitInto(&en.CRB, &en.CSB, &en.Rep)
+		switch {
+		case en.Err != nil:
+			// Its gate tripped before the paste: never ran, CSB is zero.
+		case en.CSB.CC == CCTranslationFault:
+			// The rest of the batch is done, so the straggler resubmits
+			// alone with full setup and completion. Its batch span closes
+			// on the fault; the resubmission emits its own span under the
+			// same ReqID.
+			_, en.Err = c.faultRound(&en.CSB, en.span, 1)
+			finishSpan(tr, en.span, "")
+			en.span = nil
 			if en.Err == nil {
-				en.Rep.Retries++
-				en.Rep.WastedCycles += wasted
-				en.Rep.TotalCycles += wasted
+				en.CRB.Chained, en.CRB.ChainedComplete = false, false
+				en.Err = c.submit(&en.CRB, &en.CSB, &en.Rep, false, 1, en.CSB.Cycles.Total)
 			}
-			continue
-		}
-		fillReport(d, &en.CRB, &en.CSB, &en.Rep)
-		if !pasteAccounted {
-			// Batch-level paste accounting rides on the first entry that
-			// completed in the envelope (there is one paste for the whole
-			// batch, not N).
-			en.Rep.PasteRejects = rejects
-			en.Rep.BackoffWaits = waits
-			en.Rep.BackoffTime = backoffTime
-			pasteAccounted = true
+		case charged:
+			fillReport(d, &en.CRB, &en.CSB, &en.Rep, 0, 0, nil)
+		default:
+			fillReport(d, &en.CRB, &en.CSB, &en.Rep, 0, 0, p)
+			charged = true
 		}
 	}
 	finishSpans("")
 	return nil
 }
 
-// runBatch is the dequeuer side of SubmitBatch: every entry runs back to
-// back, spread round-robin across the device's engines, then the single
-// envelope completes and the owner gets its token. Called from runOne
-// with the injected-hang gate already passed.
-func (c *Context) runBatch(wrapped *vas.CRB, p *pendingCRB, dequeuedAt time.Time) {
-	m := c.dev.met
-	queueWait := dequeuedAt.Sub(p.pastedAt)
-	m.queueWaitUS.Observe(float64(queueWait) / float64(time.Microsecond))
-	// Entries whose Deadline/Cancel gate tripped before the paste carry a
-	// pre-set Err and never run; the chained-setup flags are computed over
-	// the entries that actually execute.
+// runBatch is the dequeuer side of SubmitBatch: every live entry runs
+// back to back, spread round-robin across the device's engines. The
+// first pays the envelope's full paste-to-dispatch setup and the rest
+// chain behind it; the last entry's CSB writeback doubles as the
+// envelope completion, so earlier entries only store their CSB. Entries
+// whose gate tripped before the paste carry an Err and never run.
+func (d *Device) runBatch(pid nmmu.PID, p *pendingCRB, dequeuedAt time.Time, queueWait time.Duration) {
 	last := -1
 	for i := range p.batch {
 		if p.batch[i].Err == nil {
 			last = i
 		}
 	}
-	ran := 0
+	chained := false
 	for i := range p.batch {
 		en := &p.batch[i]
 		if en.Err != nil {
 			continue
 		}
-		// The first run entry pays the envelope's full paste-to-dispatch
-		// setup; the rest chain behind it. The last run entry's CSB
-		// writeback doubles as the envelope completion; earlier entries
-		// only store their CSB.
-		en.CRB.Chained = ran > 0
+		en.CRB.Chained = chained
 		en.CRB.ChainedComplete = i != last
-		ran++
-		idx := int(c.dev.nextEng.Add(1)-1) % len(c.dev.engines)
-		engStart := time.Now()
-		c.dev.engines[idx].ProcessInto(wrapped.PID, &en.CRB, &en.CSB)
+		chained = true
+		p.queued(en.span, dequeuedAt)
+		d.execute(pid, &en.CRB, &en.CSB, en.span)
 		en.CSB.QueueWait = queueWait
-		m.requests.Inc()
-		m.inBytes.Add(int64(en.CSB.SPBC))
-		m.outBytes.Add(int64(en.CSB.TPBC))
-		m.bumpCodec(&en.CRB, &en.CSB)
-		if cc := en.CSB.CC; cc >= 0 && cc < ccCount {
-			m.cc[cc].Inc()
-		}
-		if s := en.span; s != nil {
-			// Each entry's span shares the envelope's submit/FIFO phases
-			// and carries its own pipeline breakdown — the chained-setup
-			// discount shows up as a smaller setup stage on entries > 0.
-			s.Engine = idx
-			s.ERATHits += en.CSB.ERATHits
-			s.ERATMisses += en.CSB.ERATMisses
-			s.DeviceCycles += en.CSB.Cycles.Total
-			s.InBytes = en.CSB.SPBC
-			s.OutBytes = en.CSB.TPBC
-			s.CC = en.CSB.CC.String()
-			s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-			s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-			s.RecordPipeline(engStart, time.Now(), pipelineStages(en.CSB.Cycles))
-		}
 	}
-	p.ran = true
-	c.dev.sb.Complete(wrapped)
-	p.done <- struct{}{}
 }

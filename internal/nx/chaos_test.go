@@ -258,3 +258,133 @@ func TestResumeRequestsExemptFromInjectedCC(t *testing.T) {
 		t.Fatalf("resume output mismatch: %q", csb.Output)
 	}
 }
+
+// submitEntry is one way into the submission protocol, driven with a
+// single request. run returns the request's report (zero on error) and
+// its caller-visible error.
+type submitEntry struct {
+	name   string
+	queued bool // goes through the VAS paste, so paste rejects apply
+	run    func(ctx *Context, crb CRB) (Report, error)
+}
+
+var submitEntries = []submitEntry{
+	{"SubmitInto", true, func(ctx *Context, crb CRB) (Report, error) {
+		var (
+			csb CSB
+			rep Report
+		)
+		err := ctx.SubmitInto(&crb, &csb, &rep)
+		return rep, err
+	}},
+	{"SubmitBatch", true, func(ctx *Context, crb CRB) (Report, error) {
+		entries := []BatchEntry{{CRB: crb}}
+		if err := ctx.SubmitBatch(entries); err != nil {
+			return Report{}, err
+		}
+		return entries[0].Rep, entries[0].Err
+	}},
+	{"SyncCall", false, func(ctx *Context, crb CRB) (Report, error) {
+		_, rep, err := ctx.SyncCall(&crb)
+		if rep == nil {
+			return Report{}, err
+		}
+		return *rep, err
+	}},
+}
+
+// TestChaosSubmitProtocolContract holds every way into the device to
+// one protocol on a z15 device: a fault storm trips after exactly
+// MaxFaultRounds injected faults, the Deadline/Cancel/offline gates
+// fail with the same typed error and bump the same counters, and paste
+// backoff is charged as wasted cycles.
+func TestChaosSubmitProtocolContract(t *testing.T) {
+	scenarios := []struct {
+		name    string
+		profile faultinject.Profile
+		prep    func(crb *CRB, inj *faultinject.Injector)
+		want    error
+		counter string // device counter that must read 1 afterwards
+	}{
+		{name: "fault-storm", profile: faultinject.Profile{TransFault: 1},
+			want: ErrFaultStorm, counter: "nx.fault_storms"},
+		{name: "expired-deadline", want: ErrDeadlineExceeded, counter: "nx.deadline_exceeded",
+			prep: func(crb *CRB, _ *faultinject.Injector) { crb.Deadline = time.Now().Add(-time.Millisecond) }},
+		{name: "closed-cancel", want: ErrCanceled,
+			prep: func(crb *CRB, _ *faultinject.Injector) {
+				cancel := make(chan struct{})
+				close(cancel)
+				crb.Cancel = cancel
+			}},
+		{name: "offline", want: ErrDeviceOffline, counter: "nx.offline_rejects",
+			prep: func(_ *CRB, inj *faultinject.Injector) { inj.SetOffline(true) }},
+	}
+	src := []byte("one protocol for every submission path, one protocol for every path")
+	z15 := func(cfg *DeviceConfig) {
+		cfg.Engine = Z15Engine()
+		cfg.Submit.MaxBackoffWaits = 64
+	}
+	request := func(t *testing.T, ctx *Context) CRB {
+		srcVA, err := ctx.MapBuffer(len(src), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dstVA, err := ctx.MapBuffer(2*len(src)+1024, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CRB{Func: FCCompressFHT, Wrap: WrapGzip, Input: src, SourceVA: srcVA, TargetVA: dstVA}
+	}
+	for _, e := range submitEntries {
+		for _, sc := range scenarios {
+			t.Run(e.name+"/"+sc.name, func(t *testing.T) {
+				dev, inj := chaosDevice(sc.profile, z15)
+				ctx := dev.OpenContext(1)
+				defer ctx.Close()
+				crb := request(t, ctx)
+				if sc.prep != nil {
+					sc.prep(&crb, inj)
+				}
+				_, err := e.run(ctx, crb)
+				if !errors.Is(err, sc.want) {
+					t.Fatalf("err = %v, want %v", err, sc.want)
+				}
+				if sc.want == ErrFaultStorm {
+					if got, want := inj.Injected(faultinject.TransFault), int64(dev.cfg.Submit.MaxFaultRounds); got != want {
+						t.Fatalf("%d injected faults before the storm tripped, want MaxFaultRounds = %d", got, want)
+					}
+				}
+				if sc.counter != "" {
+					if got := dev.MetricsSnapshot().Counter(sc.counter, ""); got != 1 {
+						t.Fatalf("%s = %d, want 1", sc.counter, got)
+					}
+				}
+			})
+		}
+		if !e.queued {
+			continue
+		}
+		t.Run(e.name+"/paste-reject-backoff", func(t *testing.T) {
+			dev, _ := chaosDevice(faultinject.Profile{PasteReject: 0.6}, z15)
+			ctx := dev.OpenContext(1)
+			defer ctx.Close()
+			waits := 0
+			for i := 0; i < 32; i++ {
+				rep, err := e.run(ctx, request(t, ctx))
+				if err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				if rep.BackoffWaits > 0 && rep.WastedCycles == 0 {
+					t.Fatalf("request %d took %d backoff waits but WastedCycles = 0", i, rep.BackoffWaits)
+				}
+				if rep.TotalCycles < rep.WastedCycles {
+					t.Fatalf("request %d: TotalCycles %d below WastedCycles %d", i, rep.TotalCycles, rep.WastedCycles)
+				}
+				waits += rep.BackoffWaits
+			}
+			if waits == 0 {
+				t.Fatal("a 0.6 paste-reject rate over 32 requests took no backoff waits")
+			}
+		})
+	}
+}

@@ -296,7 +296,7 @@ type CRB struct {
 	// Deadline, when non-zero, bounds this request's wall-clock
 	// lifetime: paste retries, backoff waits and fault-resubmit rounds
 	// all check it, and submission fails with ErrDeadlineExceeded once it
-	// passes. Zero applies the device's SubmitPolicy.Timeout (if any).
+	// passes. Zero means no deadline.
 	Deadline time.Time
 	// Cancel, when non-nil, aborts the request between recovery rounds
 	// when the channel closes (submission fails with ErrCanceled). A

@@ -28,8 +28,8 @@ type DeviceConfig struct {
 	// compression cores). Default 1.
 	Engines int
 	// Submit bounds the recovery work one request may consume (fault
-	// resubmit rounds, paste retries, backoff waits, wall-clock). Zero
-	// fields take DefaultSubmitPolicy values.
+	// resubmit rounds, paste retries, backoff waits). Zero fields take
+	// DefaultSubmitPolicy values.
 	Submit SubmitPolicy
 }
 
@@ -42,8 +42,7 @@ type SubmitPolicy struct {
 	// becomes resident (or an injected fault storm) is bounded by this.
 	MaxFaultRounds int
 	// MaxPasteAttempts caps paste tries per round (draining the FIFO
-	// between tries, as before); beyond it submission fails with
-	// ErrDeviceBusy.
+	// between tries); beyond it submission fails with ErrDeviceBusy.
 	MaxPasteAttempts int
 	// MaxBackoffWaits caps how many backoff sleeps a round may take while
 	// the FIFO is empty and the paste keeps bouncing — the signature of a
@@ -51,13 +50,9 @@ type SubmitPolicy struct {
 	// Beyond it submission fails with ErrDeviceBusy.
 	MaxBackoffWaits int
 	// BackoffBase/BackoffMax shape the exponential backoff (with jitter)
-	// between paste retries when there is no queued work to drain,
-	// replacing the old busy yield loop.
+	// between paste retries when there is no queued work to drain.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Timeout, when non-zero, is the default per-request deadline applied
-	// to CRBs that carry none of their own.
-	Timeout time.Duration
 }
 
 // DefaultSubmitPolicy returns the shipped recovery budget.
@@ -625,24 +620,21 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(half + z%(half+1))
 }
 
-// pendingCRB is the switchboard payload for one in-flight request: the
-// request itself plus a completion slot. Whichever submitter goroutine
-// dequeues the entry runs it and signals done; the owner waits on done,
-// so concurrent submitters never lose a request another goroutine
-// drained.
-//
-// Entries are pooled: done is a buffered (capacity-1) channel carrying
-// one token per completed round instead of being closed, so the same
-// entry cycles through fault rounds and back into the pool. ran replaces
-// the old nil-CSB hang check — the CSB is caller-owned now and may hold
-// stale bytes, so only the dequeuer's explicit flag says whether a
-// completion was written.
+// pendingCRB is the switchboard payload for one in-flight request (or
+// batch envelope) plus its completion slot. Whichever submitter
+// goroutine dequeues the entry runs it and sends one token on done; the
+// owner waits for that token, so concurrent submitters never lose a
+// request another goroutine drained. Entries are pooled: done is a
+// buffered one-token channel, never closed, so the same entry cycles
+// through fault rounds and back into the pool. ran is the dequeuer's
+// word that a CSB was written — the CSB is caller-owned and may hold
+// stale bytes, so it cannot tell an engine hang by itself.
 //
 // The trace fields cross goroutines with well-defined happens-before
-// edges: the owner writes span/submitStart/pastedAt/pasteRejects before
-// the successful Paste (the switchboard mutex publishes them to the
-// dequeuer); the dequeuer writes the span's execution stages before the
-// done send publishes them back to the owner.
+// edges: the owner writes span/submitStart/pastedAt before the
+// successful Paste (the switchboard mutex publishes them to the
+// dequeuer); the dequeuer writes the span's execution record before the
+// done send publishes it back to the owner.
 type pendingCRB struct {
 	crb  *CRB
 	csb  *CSB
@@ -656,10 +648,14 @@ type pendingCRB struct {
 	// once — one paste, one credit, one FIFO slot for the whole batch.
 	batch []BatchEntry
 
-	span         *telemetry.Span
-	submitStart  time.Time // first paste attempt of this round
-	pastedAt     time.Time // stamped just before each paste attempt
-	pasteRejects int       // credit/FIFO bounces this round
+	span        *telemetry.Span
+	submitStart time.Time // first paste attempt of this round
+	pastedAt    time.Time // stamped just before each paste attempt
+
+	// Owner-side paste accounting, summed over every round.
+	rejects int
+	waits   int
+	backoff time.Duration
 }
 
 // pendingPool recycles pendingCRBs (and their done channels and
@@ -673,15 +669,18 @@ var pendingPool = sync.Pool{New: func() any {
 
 func getPending() *pendingCRB { return pendingPool.Get().(*pendingCRB) }
 
-// putPending drops request references before pooling so recycled entries
-// pin no caller buffers.
-func putPending(p *pendingCRB) {
+// release books the request's total backoff and pools p, dropping its
+// request references so recycled entries pin no caller buffers.
+func (d *Device) release(p *pendingCRB) {
+	if p.backoff > 0 {
+		d.met.backoffUS.Observe(float64(p.backoff) / float64(time.Microsecond))
+	}
 	p.crb = nil
 	p.csb = nil
 	p.batch = nil
 	p.span = nil
 	p.ran = false
-	p.pasteRejects = 0
+	p.rejects, p.waits, p.backoff = 0, 0, 0
 	pendingPool.Put(p)
 }
 
@@ -691,24 +690,227 @@ func backoffCycles(d *Device, t time.Duration) int64 {
 	return int64(t.Seconds() * d.cfg.Engine.Pipeline.ClockGHz * 1e9)
 }
 
-// fillReport builds the success-side accounting from a completion block;
-// submission-level extras (retries, paste/backoff counts, wasted cycles)
-// are layered on by the caller.
-func fillReport(d *Device, crb *CRB, csb *CSB, rep *Report) {
+// fillReport builds the accounting of a completed request: the final
+// attempt's completion plus the fault rounds and cycles wasted before
+// it. A non-nil p charges the paste bounces and backoff waits of the
+// request's envelope, the waits as wasted cycles.
+func fillReport(d *Device, crb *CRB, csb *CSB, rep *Report, retries int, wasted int64, p *pendingCRB) {
 	*rep = Report{
-		Engine:      d.cfg.Engine.Pipeline.Name,
-		Func:        crb.Func,
-		Wrap:        crb.Wrap,
-		InBytes:     csb.SPBC,
-		OutBytes:    csb.TPBC,
-		Breakdown:   csb.Cycles,
-		TotalCycles: csb.Cycles.Total,
-		LZ:          csb.LZ,
+		Engine:    d.cfg.Engine.Pipeline.Name,
+		Func:      crb.Func,
+		Wrap:      crb.Wrap,
+		InBytes:   csb.SPBC,
+		OutBytes:  csb.TPBC,
+		Breakdown: csb.Cycles,
+		Retries:   retries,
+		LZ:        csb.LZ,
 	}
+	if p != nil {
+		rep.PasteRejects = p.rejects
+		rep.BackoffWaits = p.waits
+		rep.BackoffTime = p.backoff
+		wasted += backoffCycles(d, p.backoff)
+	}
+	rep.WastedCycles = wasted
+	rep.TotalCycles = wasted + csb.Cycles.Total
 	rep.Time = d.cfg.Engine.Pipeline.Time(rep.TotalCycles)
 	if csb.SPBC > 0 && csb.TPBC > 0 {
 		rep.Ratio = float64(csb.SPBC) / float64(csb.TPBC)
 	}
+}
+
+// startSpan opens a request's trace span (nil with tracing off). Window
+// -1 marks the synchronous interface, which bypasses the VAS queue.
+func (c *Context) startSpan(tr *telemetry.Tracer, crb *CRB, sync bool) *telemetry.Span {
+	window := c.window
+	if sync {
+		window = -1
+	}
+	s := tr.Start(crb.Func.String(), int(c.pid), window)
+	if s != nil {
+		s.ReqID = crb.ReqID
+		s.Hop = crb.Hop
+		s.Tenant = c.tenant
+		s.Priority = c.priorityName()
+	}
+	return s
+}
+
+// finishSpan closes s, stamping label as its completion when set.
+func finishSpan(tr *telemetry.Tracer, s *telemetry.Span, label string) {
+	if s != nil && label != "" {
+		s.CC = label
+	}
+	tr.Finish(s)
+}
+
+// expired checks a request's own liveness gates — Cancel, then
+// Deadline — and returns the span label and error of a tripped one.
+func (d *Device) expired(crb *CRB) (string, error) {
+	if crb.Cancel != nil {
+		select {
+		case <-crb.Cancel:
+			return "canceled", ErrCanceled
+		default:
+		}
+	}
+	if !crb.Deadline.IsZero() && time.Now().After(crb.Deadline) {
+		d.met.deadlineFails.Inc()
+		return "deadline", ErrDeadlineExceeded
+	}
+	return "", nil
+}
+
+// offline is the device gate: a fenced device refuses new work.
+func (d *Device) offline() (string, error) {
+	if d.Offline() {
+		d.met.offlineRejects.Inc()
+		return "device-offline", ErrDeviceOffline
+	}
+	return "", nil
+}
+
+// submit is the one request protocol behind SubmitInto and SyncCall:
+// gate → dispatch → complete, or resolve a translation fault and go
+// round again. Queued dispatch pastes the CRB and drains the FIFO until
+// it completes; sync dispatch runs it on an engine directly. The gates
+// (Cancel, Deadline, device offline) are checked before every round and
+// after every paste bounce, never mid-engine. retries and wasted carry
+// fault rounds the request already spent elsewhere (a batch straggler's
+// envelope round).
+func (c *Context) submit(crb *CRB, csb *CSB, rep *Report, sync bool, retries int, wasted int64) error {
+	d := c.dev
+	tr := d.tracer.Load()
+	span := c.startSpan(tr, crb, sync)
+	var p *pendingCRB
+	if !sync {
+		p = getPending()
+		defer d.release(p)
+		p.crb, p.csb, p.span = crb, csb, span
+	}
+	live := func() (string, error) {
+		if label, err := d.expired(crb); err != nil {
+			return label, err
+		}
+		return d.offline()
+	}
+	var (
+		label string
+		err   error
+	)
+	for {
+		if label, err = live(); err != nil {
+			break
+		}
+		if sync {
+			d.met.syncCalls.Inc()
+			d.execute(c.pid, crb, csb, span)
+		} else if label, err = c.paste(p, live); err == nil {
+			label, err = c.await(p)
+		}
+		if err != nil {
+			break
+		}
+		if csb.CC != CCTranslationFault {
+			fillReport(d, crb, csb, rep, retries, wasted, p)
+			break
+		}
+		retries++
+		wasted += csb.Cycles.Total
+		if label, err = c.faultRound(csb, span, retries); err != nil {
+			break
+		}
+	}
+	if p != nil && span != nil {
+		span.PasteRejects = p.rejects
+	}
+	finishSpan(tr, span, label)
+	return err
+}
+
+// paste offers p's envelope to the switchboard until it is accepted.
+// After each bounce it re-checks live (the request's gates), then runs
+// whatever it can drain from the FIFO — or, with the FIFO empty, backs
+// off exponentially with jitter: the backlog is running on other
+// goroutines, or the window's credits have leaked. A round that
+// exhausts MaxPasteAttempts or MaxBackoffWaits fails with ErrDeviceBusy.
+func (c *Context) paste(p *pendingCRB, live func() (string, error)) (string, error) {
+	d := c.dev
+	pol := d.cfg.Submit
+	p.ran = false
+	p.submitStart = time.Now()
+	backoff := pol.BackoffBase
+	for try, waits := 0, 0; try < pol.MaxPasteAttempts && waits < pol.MaxBackoffWaits; try++ {
+		p.pastedAt = time.Now()
+		err := d.sb.Paste(c.window, &p.wrapped)
+		if err == nil {
+			return "", nil
+		}
+		if errors.Is(err, vas.ErrWindowClosed) {
+			return "window-closed", err
+		}
+		p.rejects++
+		if label, err := live(); err != nil {
+			return label, err
+		}
+		if pending := d.sb.Dequeue(); pending != nil {
+			d.runOne(pending)
+			continue
+		}
+		sleep := jitter(backoff)
+		time.Sleep(sleep)
+		waits++
+		p.waits++
+		p.backoff += sleep
+		d.met.backoffWaits.Inc()
+		backoff = min(2*backoff, pol.BackoffMax)
+	}
+	return "device-busy", fmt.Errorf("%w (%d rejects, %d backoff waits)", ErrDeviceBusy, p.rejects, p.waits)
+}
+
+// await drains the FIFO until p completes, running whatever it
+// dequeues. An empty FIFO before the completion means another submitter
+// dequeued p, so it waits for that run to finish. A run that wrote no
+// CSB was an engine hang (runOne counted it; the watchdog reset
+// reclaimed the window credit).
+func (c *Context) await(p *pendingCRB) (string, error) {
+	for {
+		select {
+		case <-p.done:
+		default:
+			if pending := c.dev.sb.Dequeue(); pending != nil {
+				c.dev.runOne(pending)
+				continue
+			}
+			<-p.done
+		}
+		if !p.ran {
+			return "engine-hang", ErrEngineHang
+		}
+		return "", nil
+	}
+}
+
+// faultRound is the OS side of a translation fault: count the round,
+// trip ErrFaultStorm once retries reaches MaxFaultRounds, otherwise
+// touch the faulting page so the resubmission finds it resident.
+func (c *Context) faultRound(csb *CSB, span *telemetry.Span, retries int) (string, error) {
+	d := c.dev
+	d.met.faultRetries.Inc()
+	if retries >= d.cfg.Submit.MaxFaultRounds {
+		d.met.faultStorms.Inc()
+		return "fault-storm", fmt.Errorf("%w (%d rounds, va %#x)", ErrFaultStorm, retries, csb.FaultVA)
+	}
+	start := time.Now()
+	if err := d.mmu.Touch(c.pid, csb.FaultVA); err != nil {
+		return csb.CC.String(), fmt.Errorf("nx: fault handler: %w", err)
+	}
+	if span != nil {
+		// The OS interlude, attributed to the round that faulted.
+		span.RecordStage(telemetry.StageFault, start, time.Now(), csb.Cycles.Total)
+		span.Retries++
+	}
+	return "", nil
 }
 
 // SubmitInto pastes the CRB, runs an engine, and implements the OS side
@@ -725,261 +927,93 @@ func fillReport(d *Device, crb *CRB, csb *CSB, rep *Report) {
 //
 // The caller owns csb and rep (typically pooled or stack-resident): the
 // engine writes the completion into csb and the accounting into rep, so
-// the steady-state path allocates nothing. On error rep is left partially
-// filled and csb holds the last completion written — zero-valued when
-// the request never reached an engine.
+// the steady-state path allocates nothing. On error rep is untouched and
+// csb holds the last completion written — zero-valued when the request
+// never reached an engine.
 func (c *Context) SubmitInto(crb *CRB, csb *CSB, rep *Report) error {
-	d := c.dev
-	pol := d.cfg.Submit
-	deadline := crb.Deadline
-	if deadline.IsZero() && pol.Timeout > 0 {
-		deadline = time.Now().Add(pol.Timeout)
-	}
-	tr := d.tracer.Load()
-	span := tr.Start(crb.Func.String(), int(c.pid), c.window)
-	if span != nil {
-		span.ReqID = crb.ReqID
-		span.Hop = crb.Hop
-		span.Tenant = c.tenant
-		span.Priority = c.priorityName()
-	}
-	var (
-		retries      int
-		wasted       int64
-		pasteRejects int
-		backoffWaits int
-		backoffTime  time.Duration
-	)
-	// fail finishes the span and surfaces err; the caller-owned csb holds
-	// whatever completion was last written.
-	fail := func(label string, err error) error {
-		if backoffTime > 0 {
-			d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-		}
-		if span != nil {
-			span.CC = label
-		}
-		tr.Finish(span)
-		return err
-	}
-	// abort checks the request's liveness gates: cancellation, deadline,
-	// device offline. Called between recovery rounds, never mid-engine.
-	abort := func() (string, error) {
-		if crb.Cancel != nil {
-			select {
-			case <-crb.Cancel:
-				return "canceled", ErrCanceled
-			default:
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			d.met.deadlineFails.Inc()
-			return "deadline", fmt.Errorf("%w (after %d fault rounds, %d backoff waits)", ErrDeadlineExceeded, retries, backoffWaits)
-		}
-		if d.Offline() {
-			d.met.offlineRejects.Inc()
-			return "device-offline", ErrDeviceOffline
-		}
-		return "", nil
-	}
-	p := getPending()
-	defer putPending(p)
-	p.crb = crb
-	p.csb = csb
-	p.span = span
-	wrapped := &p.wrapped
-	for {
-		if label, err := abort(); err != nil {
-			return fail(label, err)
-		}
-		p.ran = false
-		p.pasteRejects = 0
-		p.submitStart = time.Now()
-		pasted := false
-		backoff := pol.BackoffBase
-		roundWaits := 0
-		for try := 0; try < pol.MaxPasteAttempts && roundWaits < pol.MaxBackoffWaits; try++ {
-			p.pastedAt = time.Now()
-			err := d.sb.Paste(c.window, wrapped)
-			if err == nil {
-				pasted = true
-				break
-			}
-			if errors.Is(err, vas.ErrWindowClosed) {
-				return fail("window-closed", err)
-			}
-			p.pasteRejects++
-			if label, aerr := abort(); aerr != nil {
-				pasteRejects += p.pasteRejects
-				return fail(label, aerr)
-			}
-			// Credit/FIFO pressure: drain one entry and retry. An empty
-			// FIFO with the paste still bouncing means the backlog is
-			// running on other goroutines — or the window's credits have
-			// leaked — so back off exponentially instead of spinning.
-			if pending := d.sb.Dequeue(); pending != nil {
-				c.runOne(pending)
-				continue
-			}
-			sleep := jitter(backoff)
-			time.Sleep(sleep)
-			roundWaits++
-			backoffTime += sleep
-			d.met.backoffWaits.Inc()
-			if backoff *= 2; backoff > pol.BackoffMax {
-				backoff = pol.BackoffMax
-			}
-		}
-		backoffWaits += roundWaits
-		if !pasted {
-			pasteRejects += p.pasteRejects
-			return fail("device-busy", fmt.Errorf("%w (%d rejects, %d backoff waits)", ErrDeviceBusy, pasteRejects, backoffWaits))
-		}
-		// Engine picks up work in FIFO order; drain until ours completes.
-		// An empty FIFO before our completion means another submitter
-		// dequeued our entry — wait for it to finish the run.
-		waiting := true
-		for waiting {
-			select {
-			case <-p.done:
-				waiting = false
-			default:
-				if pending := d.sb.Dequeue(); pending != nil {
-					c.runOne(pending)
-					continue
-				}
-				<-p.done
-				waiting = false
-			}
-		}
-		pasteRejects += p.pasteRejects
-		if !p.ran {
-			// Engine hang: the dequeuer dropped the request without a CSB
-			// write (runOne counted it; the watchdog reset reclaimed the
-			// window credit).
-			return fail("engine-hang", fmt.Errorf("%w (func %s)", ErrEngineHang, crb.Func))
-		}
-		if csb.CC != CCTranslationFault {
-			wastedAll := wasted + backoffCycles(d, backoffTime)
-			fillReport(d, crb, csb, rep)
-			rep.Retries = retries
-			rep.PasteRejects = pasteRejects
-			rep.BackoffWaits = backoffWaits
-			rep.BackoffTime = backoffTime
-			rep.WastedCycles = wastedAll
-			rep.TotalCycles = wastedAll + csb.Cycles.Total
-			rep.Time = d.cfg.Engine.Pipeline.Time(rep.TotalCycles)
-			if backoffTime > 0 {
-				d.met.backoffUS.Observe(float64(backoffTime) / float64(time.Microsecond))
-			}
-			if span != nil {
-				span.InBytes = csb.SPBC
-				span.OutBytes = csb.TPBC
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return nil
-		}
-		// Fault protocol: touch and resubmit, bounded by the round cap.
-		retries++
-		wasted += csb.Cycles.Total
-		d.met.faultRetries.Inc()
-		if retries >= pol.MaxFaultRounds {
-			d.met.faultStorms.Inc()
-			return fail("fault-storm", fmt.Errorf("%w (%d rounds, va %#x)", ErrFaultStorm, retries, csb.FaultVA))
-		}
-		faultStart := time.Now()
-		if err := d.mmu.Touch(c.pid, csb.FaultVA); err != nil {
-			if span != nil {
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return fmt.Errorf("nx: fault handler: %w", err)
-		}
-		if span != nil {
-			// The done channel has closed, so the span is ours again:
-			// record the OS interlude, attributed to the round that
-			// faulted, then open the next round.
-			span.RecordStage(telemetry.StageFault, faultStart, time.Now(), csb.Cycles.Total)
-			span.Retries++
-		}
-	}
+	return c.submit(crb, csb, rep, false, 0, 0)
 }
 
-// runOne executes a dequeued CRB on the next engine (round-robin across
-// the device's engines, which process concurrently — the z15 NXU pairs
-// two compression cores behind one queue), completes it at the
-// switchboard, and signals the submitting goroutine.
-func (c *Context) runOne(wrapped *vas.CRB) {
+// runOne is the dequeuer side of the queued protocol: it runs a
+// dequeued request (or batch envelope), completes it at the switchboard
+// and hands the owner its token. An injected engine hang drops the
+// whole envelope without a CSB write: the OS watchdog resets the engine
+// and completes the window credit so the queue keeps flowing, and the
+// owner sees ran=false. The hang is modelled as an immediate drop — no
+// wall-clock stall — to keep chaos tests deterministic and fast.
+func (d *Device) runOne(wrapped *vas.CRB) {
 	p := wrapped.Payload.(*pendingCRB)
 	dequeuedAt := time.Now()
-	if c.dev.inj.Load().Decide(faultinject.EngineHang) {
-		// Hung engine: the request (or whole batch) is dropped without a
-		// CSB write. The OS watchdog resets the engine and completes the
-		// window credit so the queue keeps flowing; the submitter sees
-		// ran=false and reports ErrEngineHang. Modelled as an immediate
-		// drop — no wall-clock stall — to keep chaos tests deterministic
-		// and fast.
-		c.dev.met.engineHangs.Inc()
-		if h := c.dev.events.Load(); h != nil {
-			var req uint64
-			if p.crb != nil {
-				req = p.crb.ReqID
-			} else if len(p.batch) > 0 {
-				req = p.batch[0].CRB.ReqID
-			}
+	if d.inj.Load().Decide(faultinject.EngineHang) {
+		d.met.engineHangs.Inc()
+		req := uint64(0)
+		if p.crb != nil {
+			req = p.crb.ReqID
+		} else if len(p.batch) > 0 {
+			req = p.batch[0].CRB.ReqID
+		}
+		if h := d.events.Load(); h != nil {
 			h.bus.Publish(obs.Event{Type: obs.EventEngineHang, Device: h.label, Req: req,
 				Detail: "request dropped without CSB write; watchdog reclaimed credit"})
 		}
-		if s := p.span; s != nil {
-			s.Engine = -1
-			s.PasteRejects += p.pasteRejects
-			s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-			s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-		}
+		p.queued(p.span, dequeuedAt)
 		for i := range p.batch {
-			if s := p.batch[i].span; s != nil {
-				s.Engine = -1
-				s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-				s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-			}
+			p.queued(p.batch[i].span, dequeuedAt)
 		}
-		c.dev.sb.Complete(wrapped)
-		p.done <- struct{}{}
+	} else {
+		queueWait := dequeuedAt.Sub(p.pastedAt)
+		d.met.queueWaitUS.Observe(float64(queueWait) / float64(time.Microsecond))
+		if p.batch != nil {
+			d.runBatch(wrapped.PID, p, dequeuedAt, queueWait)
+		} else {
+			p.queued(p.span, dequeuedAt)
+			d.execute(wrapped.PID, p.crb, p.csb, p.span)
+			p.csb.QueueWait = queueWait
+		}
+		p.ran = true
+	}
+	d.sb.Complete(wrapped)
+	p.done <- struct{}{}
+}
+
+// queued records the envelope's submit (first paste attempt to accepted
+// paste) and FIFO (paste to dequeue) phases on s. The engine stays -1
+// until execute runs the request.
+func (p *pendingCRB) queued(s *telemetry.Span, dequeuedAt time.Time) {
+	if s == nil {
 		return
 	}
-	if p.batch != nil {
-		c.runBatch(wrapped, p, dequeuedAt)
-		return
-	}
-	idx := int(c.dev.nextEng.Add(1)-1) % len(c.dev.engines)
-	c.dev.engines[idx].ProcessInto(wrapped.PID, p.crb, p.csb)
-	p.ran = true
-	engineEnd := time.Now()
-	queueWait := dequeuedAt.Sub(p.pastedAt)
-	p.csb.QueueWait = queueWait
-	m := c.dev.met
+	s.Engine = -1
+	s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
+	s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
+}
+
+// execute runs one CRB on the device's next engine (round-robin: the
+// engines behind one FIFO process concurrently — the z15 NXU pairs two
+// compression cores behind one queue) and books the completion in the
+// device counters and on the span. Every engine run goes through here.
+func (d *Device) execute(pid nmmu.PID, crb *CRB, csb *CSB, s *telemetry.Span) {
+	idx := int(d.nextEng.Add(1)-1) % len(d.engines)
+	start := time.Now()
+	d.engines[idx].ProcessInto(pid, crb, csb)
+	m := d.met
 	m.requests.Inc()
-	m.inBytes.Add(int64(p.csb.SPBC))
-	m.outBytes.Add(int64(p.csb.TPBC))
-	m.bumpCodec(p.crb, p.csb)
-	if cc := p.csb.CC; cc >= 0 && cc < ccCount {
+	m.inBytes.Add(int64(csb.SPBC))
+	m.outBytes.Add(int64(csb.TPBC))
+	m.bumpCodec(crb, csb)
+	if cc := csb.CC; cc >= 0 && cc < ccCount {
 		m.cc[cc].Inc()
 	}
-	m.queueWaitUS.Observe(float64(queueWait) / float64(time.Microsecond))
-	if s := p.span; s != nil {
-		// This goroutine owns the span between Dequeue and the done send.
+	if s != nil {
 		s.Engine = idx
-		s.ERATHits += p.csb.ERATHits
-		s.ERATMisses += p.csb.ERATMisses
-		s.DeviceCycles += p.csb.Cycles.Total
-		s.PasteRejects += p.pasteRejects
-		s.RecordStage(telemetry.StageSubmit, p.submitStart, p.pastedAt, 0)
-		s.RecordStage(telemetry.StageFIFO, p.pastedAt, dequeuedAt, 0)
-		s.RecordPipeline(dequeuedAt, engineEnd, pipelineStages(p.csb.Cycles))
+		s.ERATHits += csb.ERATHits
+		s.ERATMisses += csb.ERATMisses
+		s.DeviceCycles += csb.Cycles.Total
+		s.InBytes = csb.SPBC
+		s.OutBytes = csb.TPBC
+		s.CC = csb.CC.String()
+		s.RecordPipeline(start, time.Now(), pipelineStages(csb.Cycles))
 	}
-	c.dev.sb.Complete(wrapped)
-	p.done <- struct{}{}
 }
 
 // pipelineStages flattens a modelled breakdown into span stages (only
@@ -1067,107 +1101,31 @@ func (c *Context) Decompress(input []byte, wrap Wrap, maxOutput int, resident bo
 // non-nil and holds the last completion written — zero-valued when the
 // request never reached an engine.
 func (c *Context) Submit(crb *CRB) (*CSB, *Report, error) {
-	csb := &CSB{}
-	rep := &Report{}
-	if err := c.SubmitInto(crb, csb, rep); err != nil {
-		return csb, nil, err
-	}
-	return csb, rep, nil
+	return c.submitNew(crb, false)
 }
 
 // SyncCall submits a request through the synchronous-instruction
 // interface (the z15 integration style): no VAS paste, no queue — the
-// calling CPU dispatches the engine directly and waits. The fault
-// protocol still applies (the instruction completes partially and
-// software retries after touching the page). Returns an error on devices
-// without a synchronous path.
+// calling CPU dispatches the engine directly and waits. The rest of the
+// protocol is the queued one: the same gates before every round, and
+// the fault protocol (the instruction completes partially and software
+// retries after touching the page). Returns an error on devices without
+// a synchronous path.
 func (c *Context) SyncCall(crb *CRB) (*CSB, *Report, error) {
 	if c.dev.cfg.Engine.Pipeline.SyncSetupCycles <= 0 {
 		return nil, nil, fmt.Errorf("nx: %s has no synchronous submission interface", c.dev.cfg.Engine.Pipeline.Name)
 	}
 	crb.SyncSubmit = true
-	tr := c.dev.tracer.Load()
-	// Window -1: the synchronous interface bypasses the VAS queue.
-	span := tr.Start(crb.Func.String(), int(c.pid), -1)
-	if span != nil {
-		span.ReqID = crb.ReqID
-		span.Hop = crb.Hop
-		span.Tenant = c.tenant
-		span.Priority = c.priorityName()
+	return c.submitNew(crb, true)
+}
+
+// submitNew runs submit on freshly allocated blocks, Submit's contract.
+func (c *Context) submitNew(crb *CRB, sync bool) (*CSB, *Report, error) {
+	csb, rep := &CSB{}, &Report{}
+	if err := c.submit(crb, csb, rep, sync, 0, 0); err != nil {
+		return csb, nil, err
 	}
-	var (
-		retries int
-		wasted  int64
-	)
-	for {
-		start := time.Now()
-		idx := int(c.dev.nextEng.Add(1)-1) % len(c.dev.engines)
-		csb := c.dev.engines[idx].Process(c.pid, crb)
-		m := c.dev.met
-		m.requests.Inc()
-		m.syncCalls.Inc()
-		m.inBytes.Add(int64(csb.SPBC))
-		m.outBytes.Add(int64(csb.TPBC))
-		m.bumpCodec(crb, csb)
-		if cc := csb.CC; cc >= 0 && cc < ccCount {
-			m.cc[cc].Inc()
-		}
-		if span != nil {
-			span.Engine = idx
-			span.ERATHits += csb.ERATHits
-			span.ERATMisses += csb.ERATMisses
-			span.DeviceCycles += csb.Cycles.Total
-			span.RecordPipeline(start, time.Now(), pipelineStages(csb.Cycles))
-		}
-		if csb.CC != CCTranslationFault {
-			rep := &Report{
-				Engine:       c.dev.cfg.Engine.Pipeline.Name,
-				Func:         crb.Func,
-				Wrap:         crb.Wrap,
-				InBytes:      csb.SPBC,
-				OutBytes:     csb.TPBC,
-				Breakdown:    csb.Cycles,
-				Retries:      retries,
-				WastedCycles: wasted,
-				TotalCycles:  wasted + csb.Cycles.Total,
-				LZ:           csb.LZ,
-			}
-			rep.Time = c.dev.cfg.Engine.Pipeline.Time(rep.TotalCycles)
-			if csb.SPBC > 0 && csb.TPBC > 0 {
-				rep.Ratio = float64(csb.SPBC) / float64(csb.TPBC)
-			}
-			if span != nil {
-				span.InBytes = csb.SPBC
-				span.OutBytes = csb.TPBC
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return csb, rep, nil
-		}
-		retries++
-		wasted += csb.Cycles.Total
-		c.dev.met.faultRetries.Inc()
-		if retries >= c.dev.cfg.Submit.MaxFaultRounds {
-			c.dev.met.faultStorms.Inc()
-			if span != nil {
-				span.CC = "fault-storm"
-			}
-			tr.Finish(span)
-			return csb, nil, fmt.Errorf("%w (%d rounds, va %#x)", ErrFaultStorm, retries, csb.FaultVA)
-		}
-		faultStart := time.Now()
-		if err := c.dev.mmu.Touch(c.pid, csb.FaultVA); err != nil {
-			if span != nil {
-				span.CC = csb.CC.String()
-			}
-			tr.Finish(span)
-			return csb, nil, fmt.Errorf("nx: fault handler: %w", err)
-		}
-		if span != nil {
-			span.RecordStage(telemetry.StageFault, faultStart, time.Now(), csb.Cycles.Total)
-			span.Retries++
-		}
-	}
+	return csb, rep, nil
 }
 
 // Device returns the device this context is bound to.

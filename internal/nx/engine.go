@@ -36,8 +36,8 @@ func Z15Engine() EngineConfig {
 }
 
 // Engine executes CRBs one at a time, like the silicon: requests from all
-// windows serialize at the engine. Safe for concurrent Process calls (they
-// queue on an internal mutex).
+// windows serialize at the engine. Safe for concurrent ProcessInto calls
+// (they queue on an internal mutex).
 type Engine struct {
 	cfg EngineConfig
 	mmu *nmmu.MMU
@@ -103,18 +103,12 @@ func (e *Engine) injectCC(crb *CRB, csb *CSB) {
 	csb.TPBC = 0
 }
 
-// Process executes one request for the given address space and returns the
-// completion status block. It never returns a Go error for data-plane
-// problems — those are CSB completion codes, exactly as on hardware.
-func (e *Engine) Process(pid nmmu.PID, crb *CRB) *CSB {
-	csb := &CSB{}
-	e.ProcessInto(pid, crb, csb)
-	return csb
-}
-
-// ProcessInto is Process writing the completion into a caller-owned
-// status block (reset first), so pooled submitters allocate nothing per
-// request. With CRB.Target set the output lands in caller memory too.
+// ProcessInto executes one request for the given address space, writing
+// the completion into a caller-owned status block (reset first), so
+// pooled submitters allocate nothing per request. With CRB.Target set
+// the output lands in caller memory too. It never returns a Go error for
+// data-plane problems — those are CSB completion codes, exactly as on
+// hardware.
 func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -201,7 +195,6 @@ func (e *Engine) ProcessInto(pid nmmu.PID, crb *CRB, csb *CSB) {
 		if delta > 0 && csb.Cycles.Setup >= e.cfg.Pipeline.SetupCycles {
 			csb.Cycles.Setup -= delta
 			csb.Cycles.Total -= delta
-			e.busyCycles -= delta
 		}
 	}
 	if crb.Chained && e.cfg.Pipeline.ChainSetupCycles > 0 {

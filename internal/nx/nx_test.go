@@ -434,6 +434,11 @@ func TestSyncCallZ15(t *testing.T) {
 	if repS.TotalCycles != want {
 		t.Fatalf("sync cycles %d, want %d", repS.TotalCycles, want)
 	}
+	// The engine's busy time is exactly the two requests' cycles: the
+	// sync-setup saving is discounted once, not again from the counter.
+	if busy := dev.Engine(0).Counters().BusyCycles; busy != repA.TotalCycles+repS.TotalCycles {
+		t.Fatalf("engine busy cycles %d, want %d + %d", busy, repA.TotalCycles, repS.TotalCycles)
+	}
 }
 
 func TestSyncCallUnsupportedOnP9(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"nxzip/internal/admission"
 	"nxzip/internal/corpus"
+	"nxzip/internal/deflate"
 	"nxzip/internal/faultinject"
 	"nxzip/internal/flightrec"
 	"nxzip/internal/lz4"
@@ -119,6 +120,18 @@ var lifecycleEntries = []lifecycleEntry{
 		err := w.Close()
 		if err == nil {
 			gunzipped(t, buf.Bytes(), src)
+		}
+		return err
+	}},
+	{"dict-decompress", "dict-decompress", func(t *testing.T, acc *Accelerator, src, _ []byte) error {
+		dict := src[:1024]
+		zd, err := deflate.CompressZlibDict(src, dict, deflate.Options{Level: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := acc.DecompressZlibDict(zd, dict)
+		if err == nil {
+			sameBytes(t, "dictionary decompress", out, src)
 		}
 		return err
 	}},

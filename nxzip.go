@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nxzip/internal/checksum"
 	"nxzip/internal/deflate"
 	"nxzip/internal/lz77"
 	"nxzip/internal/nmmu"
@@ -621,22 +622,44 @@ func (a *Accelerator) CompressZlibDict(src, dict []byte) ([]byte, *Metrics, erro
 }
 
 // DecompressZlibDict inflates a zlib stream that may require a preset
-// dictionary.
+// dictionary. On a device the dictionary seeds a resume request's
+// window, exactly as a stream's history does: the wrapper checks the
+// DICTID and the plaintext's Adler-32 around one raw decode.
 func (a *Accelerator) DecompressZlibDict(src, dict []byte) ([]byte, *Metrics, error) {
-	out, err := deflate.DecompressZlibDict(src, dict, deflate.InflateOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	// Charge the device for the decode work (dictionary replay + stream).
-	b := a.dev.PipelineConfig().Decompress(len(src)+len(dict), len(out), 0)
-	m := &Metrics{
-		InBytes:      len(src),
-		OutBytes:     len(out),
-		DeviceCycles: b.Total,
-		DeviceTime:   a.dev.PipelineConfig().Time(b.Total),
-	}
-	if len(src) > 0 {
-		m.Ratio = float64(len(out)) / float64(len(src))
-	}
-	return out, m, nil
+	c := call{a: a, nctx: a.nctx, op: "dict-decompress", need: deflateNeed}
+	return c.runCopy(
+		func(ctx *nx.Context, m *Metrics, req uint64, hop int) ([]byte, error) {
+			body, wantAdler, dictID, hasDict, err := deflate.ZlibUnwrapDict(src)
+			if err != nil {
+				return nil, err
+			}
+			var window []byte
+			if hasDict {
+				if got := checksum.SumAdler32(dict); got != dictID {
+					return nil, fmt.Errorf("%w: dictionary adler %08x, stream wants %08x", deflate.ErrBadChecksum, got, dictID)
+				}
+				window = dict
+			}
+			// A fresh session per attempt: a re-dispatch never replays
+			// input into a window another device already advanced.
+			crb := &nx.CRB{Func: nx.FCDecompress, Wrap: nx.WrapRaw, Input: body,
+				DecompState: nx.NewDecompStateWithDict(0, window), ReqID: req, Hop: hop}
+			out, err := submitCRB(ctx, crb, "dict decompress", m)
+			if err != nil {
+				return nil, err
+			}
+			if got := checksum.SumAdler32(out); got != wantAdler {
+				return nil, fmt.Errorf("%w: adler %08x, want %08x", deflate.ErrBadChecksum, got, wantAdler)
+			}
+			return out, nil
+		},
+		func(m *Metrics) ([]byte, error) {
+			start := time.Now()
+			out, err := deflate.DecompressZlibDict(src, dict, deflate.InflateOptions{})
+			if err != nil {
+				return nil, err
+			}
+			softMetrics(m, out, len(src), len(out), start)
+			return out, nil
+		})
 }
